@@ -1,8 +1,8 @@
 // Real wall-clock microbenchmarks (google-benchmark) of the numeric
 // kernels underlying the KPM recursion: dot, axpby, the fused Chebyshev
-// combine, and dense/CRS SpMV.  These time the *functional* host
-// implementations on the build machine — unlike the fig* benches, no
-// platform model is involved.
+// combine, dense/CRS SpMV, and the blocked fused recursion step (SpMMV).
+// These time the *functional* host implementations on the build machine —
+// unlike the fig* benches, no platform model is involved.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -12,8 +12,13 @@
 #include "lattice/hamiltonian.hpp"
 #include "lattice/lattice.hpp"
 #include "linalg/crs_matrix.hpp"
+#include "linalg/fused_kernels.hpp"
+#include "linalg/operator.hpp"
+#include "linalg/sell_matrix.hpp"
 #include "linalg/spectral_transform.hpp"
 #include "linalg/vector_ops.hpp"
+#include "obs/counters.hpp"
+#include "obs/report.hpp"
 #include "rng/distributions.hpp"
 #include "rng/philox.hpp"
 
@@ -77,6 +82,47 @@ void BM_SpmvCrsCubicLattice(benchmark::State& state) {
                           static_cast<std::int64_t>(h.nnz()));
 }
 BENCHMARK(BM_SpmvCrsCubicLattice)->Arg(10)->Arg(16)->Arg(24);
+
+/// One blocked fused recursion step, spmmv_combine_dot: B interleaved
+/// members share one matrix stream (Kreutzer/Hager/Wellein,
+/// arXiv:1410.5242).  Bytes are the kernel's own metered model (FusedBytes
+/// of one call), so bytes_per_second is the achieved bandwidth at width B.
+/// Args: cubic lattice edge (16: the 4 KiB-per-member vectors sit in L2;
+/// 48: tens of MB, beyond L2), B, storage (0 = CRS, 1 = SELL-32-32).
+void BM_SpmmvCombineDot(benchmark::State& state) {
+  const auto edge = static_cast<std::size_t>(state.range(0));
+  const auto b = static_cast<std::size_t>(state.range(1));
+  const bool sell = state.range(2) != 0;
+  const auto lat = kpm::lattice::HypercubicLattice::cubic(edge, edge, edge);
+  const auto crs = kpm::lattice::build_tight_binding_crs(lat);
+  const auto sell_matrix = kpm::linalg::SellMatrix::from_crs(crs);
+  const kpm::linalg::MatrixOperator op =
+      sell ? kpm::linalg::MatrixOperator(sell_matrix) : kpm::linalg::MatrixOperator(crs);
+  const std::size_t n = op.dim() * b;
+  const auto prev = random_vector(n, 10);
+  const auto prev2 = random_vector(n, 11);
+  const auto r0 = random_vector(n, 12);
+  std::vector<double> next(n), dots(b);
+  kpm::obs::Report report;
+  {
+    kpm::obs::Collect collect(report);
+    kpm::linalg::spmmv_combine_dot(op, b, prev, prev2, r0, next, dots);
+  }
+  const double step_bytes = report.counters.get(kpm::obs::Counter::FusedBytes);
+  for (auto _ : state) {
+    kpm::linalg::spmmv_combine_dot(op, b, prev, prev2, r0, next, dots);
+    benchmark::DoNotOptimize(next.data());
+    benchmark::DoNotOptimize(dots.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(static_cast<double>(state.iterations()) *
+                                                    step_bytes));
+  state.SetLabel(sell ? "sell" : "crs");
+}
+BENCHMARK(BM_SpmmvCombineDot)
+    ->ArgNames({"edge", "B", "sell"})
+    ->ArgsProduct({{16, 48}, {1, 2, 4, 8, 16, 32}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SpmvDense(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

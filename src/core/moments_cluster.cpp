@@ -20,15 +20,14 @@ namespace {
 
 /// Per-lane state of one blocked sharded recursion: four working vectors
 /// per shard (owned rows + ghost slots, interleaved block layout) plus the
-/// block-dot scratch.  Ragged final groups use b * working_size prefixes.
+/// block-dot lanes.  Ragged final groups use b * working_size prefixes.
 struct ShardWorkspace {
   std::size_t block;
   std::vector<std::vector<double>> r0, prev2, prev, next;
-  std::vector<double> acc;
   std::vector<linalg::DotLanes> lanes;
 
   ShardWorkspace(const linalg::ShardedMatrix& sm, std::size_t b)
-      : block(b), acc(b), lanes(b) {
+      : block(b), lanes(b) {
     const std::size_t nodes = sm.nodes();
     r0.resize(nodes);
     prev2.resize(nodes);
@@ -99,7 +98,6 @@ void accumulate_sharded_group(const linalg::ShardedMatrix& sm,
   const auto working = [&](std::vector<std::vector<double>>& v, std::size_t p) {
     return std::span<const double>(v[p].data(), sm.shard(p).working_size() * b);
   };
-  const std::span<double> acc(ws.acc.data(), b);
   const std::span<linalg::DotLanes> lanes(ws.lanes.data(), b);
 
   obs::add(obs::Counter::InstancesExecuted, bb);
@@ -116,7 +114,7 @@ void accumulate_sharded_group(const linalg::ShardedMatrix& sm,
   // r1 = H~ r0, shard-local after the halo exchange above.  Metered like
   // linalg::spmmv_multiply on the global operator.
   for (std::size_t p = 0; p < nodes; ++p)
-    sm.shard_multiply_block(p, b, working(ws.r0, p), owned(ws.prev, p), acc);
+    sm.shard_multiply_block(p, b, working(ws.r0, p), owned(ws.prev, p));
   obs::add(obs::Counter::SpmvCalls, bb);
   obs::add(obs::Counter::Flops, bb * static_cast<double>(op.spmv_flops()));
   obs::add(obs::Counter::BytesStreamed,
@@ -141,7 +139,7 @@ void accumulate_sharded_group(const linalg::ShardedMatrix& sm,
     // Unfused multiply + combine + lane-carry dot: bit-identical to the
     // serial engine's fused step by the fused kernels' own contract.
     for (std::size_t p = 0; p < nodes; ++p)
-      sm.shard_multiply_block(p, b, working(ws.prev, p), owned(ws.next, p), acc);
+      sm.shard_multiply_block(p, b, working(ws.prev, p), owned(ws.next, p));
     for (std::size_t p = 0; p < nodes; ++p) {
       const linalg::MatrixShard& s = sm.shard(p);
       const std::size_t off = s.owned_offset() * b;

@@ -1,13 +1,19 @@
 #include "linalg/fused_kernels.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "linalg/spmmv_unmetered.hpp"
 #include "obs/counters.hpp"
 
 namespace kpm::linalg {
 namespace {
+
+using Complex = std::complex<double>;
 
 // Records one fused spmv+combine+dot pass of `block` vectors into the
 // active obs sink.  The flop/byte model matches core::fused_step_workload
@@ -60,6 +66,14 @@ void require_fused_preconditions(std::size_t rows, std::size_t cols,
   KPM_REQUIRE(r_next.data() != r_prev.data(), "spmv_combine_dot: r_next must not alias r_prev");
   KPM_REQUIRE(r_next.data() != r_prev2.data(),
               "spmv_combine_dot: r_next must not alias r_prev2");
+}
+
+void require_multiply_preconditions(std::size_t rows, std::size_t cols, std::size_t block,
+                                   std::span<const double> x, std::span<double> y) {
+  KPM_REQUIRE(block >= 1, "spmmv_multiply: block must be >= 1");
+  KPM_REQUIRE(x.size() == cols * block && y.size() == rows * block,
+              "spmmv_multiply: block size mismatch");
+  KPM_REQUIRE(y.data() != x.data(), "spmmv_multiply: y must not alias x");
 }
 
 void require_spmmv_preconditions(std::size_t rows, std::size_t cols, std::size_t block,
@@ -136,7 +150,7 @@ struct DenseAccess {
 };
 
 // ---------------------------------------------------------------------------
-// Shared kernel bodies, templated on the row-access policy.
+// Single-vector kernel bodies, templated on the row-access policy.
 
 template <typename Access>
 double fused_dot_kernel(const Access& acc_rows, std::size_t rows,
@@ -175,83 +189,276 @@ PairedDots fused_dot2_kernel(const Access& acc_rows, std::size_t rows,
   return dots;
 }
 
-template <typename Access>
-void spmmv_multiply_kernel(const Access& acc_rows, std::size_t rows, std::size_t block,
-                           std::span<const double> x, std::span<double> y) {
-  std::vector<double> acc(block);
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::fill(acc.begin(), acc.end(), 0.0);
-    // Member-inner loop: x[c*B + j] is unit-stride, and each member's
-    // per-row accumulation order matches the single-vector multiply.
-    acc_rows.row_entries(r, [&](double v, std::size_t c) {
-      const double* xc = x.data() + c * block;
-      for (std::size_t j = 0; j < block; ++j) acc[j] += v * xc[j];
-    });
-    double* yr = y.data() + r * block;
-    for (std::size_t j = 0; j < block; ++j) yr[j] = acc[j];
+// ---------------------------------------------------------------------------
+// Member-width dispatch for the blocked (SpMMV) kernel bodies.
+//
+// With the member count known only at run time, the B row accumulators
+// live in memory: GCC cannot keep a runtime-indexed array in registers, so
+// every stored entry reloads and re-stores all B of them, and the step is
+// bound by that store->load chain instead of by memory bandwidth.  The
+// table widths below fix the member count AND the block stride at compile
+// time: the accumulators are a local array of two-member packs, the member
+// loops expand at compile time, and the accumulators stay in SSE2 registers
+// across a row's entries (B/2 packed multiply-adds per entry).  Every
+// other width runs the same bodies with one double per pack, accumulating
+// straight into the output row.  Packed arithmetic is lane-wise IEEE, so
+// each member still runs exactly the single-vector operations in the same
+// order: entry order, 2*acc - prev2, and dot lane r & 3 folded as
+// (l0 + l1) + (l2 + l3).
+
+// Two doubles in one 128-bit register (GCC/Clang vector extension): + - *
+// act lane-wise with scalar IEEE semantics, and a scalar operand is
+// broadcast to both lanes.  The kernel bodies below are [[gnu::flatten]]:
+// their accumulators can only stay in registers if every helper and
+// lambda is inlined into them, which the inliner's size heuristics do not
+// otherwise guarantee.
+using Double2 = double __attribute__((vector_size(16)));
+
+/// A table width: B members at block stride B, all compile-time.  Even
+/// widths pack two members per Double2.
+template <std::size_t B>
+struct FixedWidth {
+  static constexpr bool kCompileTime = true;
+  using Pack = std::conditional_t<B % 2 == 0, Double2, double>;
+  static constexpr std::size_t kPack = sizeof(Pack) / sizeof(double);
+  static constexpr std::size_t kPacks = B / kPack;  ///< local array extent
+  [[nodiscard]] static constexpr std::size_t members() noexcept { return B; }
+  [[nodiscard]] static constexpr std::size_t packs() noexcept { return kPacks; }
+};
+
+/// Any other width: `block` members, one double per pack.  Accumulators
+/// live in the output row and dot lanes in LaneScratch, so its local
+/// arrays are unused (extent 1).
+struct RuntimeWidth {
+  static constexpr bool kCompileTime = false;
+  using Pack = double;
+  static constexpr std::size_t kPack = 1;
+  static constexpr std::size_t kPacks = 1;
+  std::size_t block = 0;
+  [[nodiscard]] std::size_t members() const noexcept { return block; }
+  [[nodiscard]] std::size_t packs() const noexcept { return block; }
+};
+
+/// Runs body(width) with the table width for `block` if there is one,
+/// else with RuntimeWidth.
+template <typename Body>
+void for_member_width(std::size_t block, Body&& body) {
+  switch (block) {
+    case 1: return body(FixedWidth<1>{});
+    case 2: return body(FixedWidth<2>{});
+    case 4: return body(FixedWidth<4>{});
+    case 8: return body(FixedWidth<8>{});
+    case 16: return body(FixedWidth<16>{});
+    case 32: return body(FixedWidth<32>{});
+    default: return body(RuntimeWidth{block});
   }
 }
 
-template <typename Access>
-void spmmv_dot_kernel(const Access& acc_rows, std::size_t rows, std::size_t block,
-                      std::span<const double> r_prev, std::span<const double> r_prev2,
-                      std::span<const double> r0, std::span<double> r_next,
-                      std::span<double> dots) {
-  std::vector<double> acc(block);
-  std::vector<double> lanes(4 * block, 0.0);  // lanes[4*j + (r & 3)]
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::fill(acc.begin(), acc.end(), 0.0);
-    acc_rows.row_entries(r, [&](double v, std::size_t c) {
-      const double* xc = r_prev.data() + c * block;
-      for (std::size_t j = 0; j < block; ++j) acc[j] += v * xc[j];
-    });
-    const double* p2 = r_prev2.data() + r * block;
-    const double* z = r0.data() + r * block;
-    double* yr = r_next.data() + r * block;
-    const std::size_t lane = r & 3;
-    for (std::size_t j = 0; j < block; ++j) {
-      const double next = 2.0 * acc[j] - p2[j];
-      yr[j] = next;
-      lanes[4 * j + lane] += z[j] * next;
-    }
-  }
-  for (std::size_t j = 0; j < block; ++j) {
-    const double* l = lanes.data() + 4 * j;
-    dots[j] = (l[0] + l[1]) + (l[2] + l[3]);
+/// f(j) for every pack j of `w`, in order.  Table widths expand the calls
+/// at compile time, so every pack index is a constant.
+template <typename Width, typename F>
+void for_each_pack(const Width& w, F&& f) {
+  if constexpr (Width::kCompileTime) {
+    [&]<std::size_t... J>(std::index_sequence<J...>) {
+      (f(J), ...);
+    }(std::make_index_sequence<Width::kPacks>{});
+  } else {
+    for (std::size_t j = 0; j < w.packs(); ++j) f(j);
   }
 }
 
-template <typename Access>
-void spmmv_dot2_kernel(const Access& acc_rows, std::size_t rows, std::size_t block,
-                       std::span<const double> r_prev, std::span<const double> r_prev2,
-                       std::span<double> r_next, std::span<PairedDots> dots) {
-  std::vector<double> acc(block);
-  std::vector<double> lanes_np(4 * block, 0.0);
-  std::vector<double> lanes_pp(4 * block, 0.0);
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::fill(acc.begin(), acc.end(), 0.0);
-    acc_rows.row_entries(r, [&](double v, std::size_t c) {
-      const double* xc = r_prev.data() + c * block;
-      for (std::size_t j = 0; j < block; ++j) acc[j] += v * xc[j];
+template <typename Pack>
+[[nodiscard]] Pack load_pack(const double* p) noexcept {
+  Pack v{};
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+template <typename Pack>
+void store_pack(double* p, const Pack& v) noexcept {
+  std::memcpy(p, &v, sizeof v);
+}
+
+/// Row r's member accumulators: the width's local array for a table width
+/// (registers, once the member loops expand), else the output row itself.
+template <typename Width, typename T, typename Out>
+[[nodiscard]] T* row_accumulators(T* local, Out* out_row) noexcept {
+  if constexpr (Width::kCompileTime)
+    return local;
+  else
+    return out_row;
+}
+
+/// `Rows` zeroed rows of N accumulators on the stack (table widths).
+template <typename T, std::size_t Rows, std::size_t N>
+struct LocalLanes {
+  T lanes[Rows][N]{};
+  [[nodiscard]] T* row(std::size_t k) noexcept { return lanes[k]; }
+};
+
+/// Dot lanes of the runtime width: rows of n doubles in the calling
+/// thread's buffer, which grows to the widest block the thread has run and
+/// is then reused, so no call allocates once warm.  A kernel call holds at
+/// most one LaneScratch, and kernels do not nest.
+class LaneScratch {
+ public:
+  LaneScratch(std::size_t rows, std::size_t n) : n_(n) {
+    thread_local std::vector<double> buffer;
+    if (buffer.size() < rows * n) buffer.resize(rows * n);
+    std::fill_n(buffer.begin(), rows * n, 0.0);
+    base_ = buffer.data();
+  }
+  [[nodiscard]] double* row(std::size_t k) const noexcept { return base_ + k * n_; }
+
+ private:
+  double* base_ = nullptr;
+  std::size_t n_;
+};
+
+/// `Rows` zeroed rows of one lane accumulator per pack of `w`.
+template <std::size_t Rows, typename Width>
+[[nodiscard]] auto pack_lanes(const Width& w) {
+  if constexpr (Width::kCompileTime)
+    return LocalLanes<typename Width::Pack, Rows, Width::kPacks>{};
+  else
+    return LaneScratch(Rows, w.packs());
+}
+
+/// out(m, (l0 + l1) + (l2 + l3)) for every member m of `w`, from the four
+/// canonical dot lanes rows first .. first + 3 of `lanes`.
+template <typename Width, typename Lanes, typename Out>
+void for_each_lane_sum(const Width& w, Lanes& lanes, std::size_t first, Out&& out) {
+  using Pack = typename Width::Pack;
+  for_each_pack(w, [&](std::size_t j) {
+    const Pack sum = (lanes.row(first)[j] + lanes.row(first + 1)[j]) +
+                     (lanes.row(first + 2)[j] + lanes.row(first + 3)[j]);
+    double member[Width::kPack];
+    store_pack(member, sum);
+    for (std::size_t q = 0; q < Width::kPack; ++q) out(j * Width::kPack + q, member[q]);
+  });
+}
+
+/// Per-member canonical 4-lane dots of two interleaved blocks.
+template <typename Width>
+[[gnu::flatten]] void block_dot_rows(const Width& w, std::size_t dim, const double* x,
+                                     const double* y, double* dots) {
+  using Pack = typename Width::Pack;
+  auto lanes = pack_lanes<4>(w);  // row i & 3
+  for (std::size_t i = 0; i < dim; ++i) {
+    const std::size_t at = i * w.members();
+    Pack* lane = lanes.row(i & 3);
+    for_each_pack(w, [&](std::size_t j) {
+      const std::size_t k = at + j * Width::kPack;
+      lane[j] += load_pack<Pack>(x + k) * load_pack<Pack>(y + k);
     });
-    const double* p2 = r_prev2.data() + r * block;
-    const double* pv = r_prev.data() + r * block;
-    double* yr = r_next.data() + r * block;
-    const std::size_t lane = r & 3;
-    for (std::size_t j = 0; j < block; ++j) {
-      const double next = 2.0 * acc[j] - p2[j];
-      const double prev = pv[j];
-      yr[j] = next;
-      lanes_np[4 * j + lane] += next * prev;
-      lanes_pp[4 * j + lane] += prev * prev;
-    }
   }
-  for (std::size_t j = 0; j < block; ++j) {
-    const double* np = lanes_np.data() + 4 * j;
-    const double* pp = lanes_pp.data() + 4 * j;
-    dots[j].next_prev = (np[0] + np[1]) + (np[2] + np[3]);
-    dots[j].prev_prev = (pp[0] + pp[1]) + (pp[2] + pp[3]);
+  for_each_lane_sum(w, lanes, 0, [&](std::size_t m, double v) { dots[m] = v; });
+}
+
+/// Member accumulators of row r: acc_j = 0 + the row's entries' v * x_j[c]
+/// in entry order — the single-vector multiply per member.
+template <typename Width, typename Access>
+void accumulate_row(const Width& w, const Access& rows_of, std::size_t r, const double* x,
+                    typename Width::Pack* acc) {
+  using Pack = typename Width::Pack;
+  for_each_pack(w, [&](std::size_t j) { acc[j] = Pack{}; });
+  rows_of.row_entries(r, [&](double v, std::size_t c) {
+    const double* xc = x + c * w.members();
+    for_each_pack(w,
+                  [&](std::size_t j) { acc[j] += v * load_pack<Pack>(xc + j * Width::kPack); });
+  });
+}
+
+template <typename Width, typename Access>
+[[gnu::flatten]] void spmmv_multiply_rows(const Width& w, const Access& rows_of,
+                                          std::size_t rows, const double* x, double* y) {
+  using Pack = typename Width::Pack;
+  Pack local[Width::kPacks]{};
+  for (std::size_t r = 0; r < rows; ++r) {
+    double* yr = y + r * w.members();
+    Pack* acc = row_accumulators<Width>(local, yr);
+    accumulate_row(w, rows_of, r, x, acc);
+    if constexpr (Width::kCompileTime)
+      for_each_pack(w, [&](std::size_t j) { store_pack(yr + j * Width::kPack, acc[j]); });
   }
+}
+
+template <typename Width, typename Access>
+[[gnu::flatten]] void spmmv_dot_rows(const Width& w, const Access& rows_of, std::size_t rows,
+                                     const double* r_prev, const double* r_prev2,
+                                     const double* r0, double* r_next, double* dots) {
+  using Pack = typename Width::Pack;
+  Pack local[Width::kPacks]{};
+  auto lanes = pack_lanes<4>(w);  // row r & 3
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t at = r * w.members();
+    Pack* acc = row_accumulators<Width>(local, r_next + at);
+    accumulate_row(w, rows_of, r, r_prev, acc);
+    Pack* lane = lanes.row(r & 3);
+    for_each_pack(w, [&](std::size_t j) {
+      const std::size_t k = at + j * Width::kPack;
+      const Pack next = 2.0 * acc[j] - load_pack<Pack>(r_prev2 + k);
+      store_pack(r_next + k, next);
+      lane[j] += load_pack<Pack>(r0 + k) * next;
+    });
+  }
+  for_each_lane_sum(w, lanes, 0, [&](std::size_t m, double v) { dots[m] = v; });
+}
+
+template <typename Width, typename Access>
+[[gnu::flatten]] void spmmv_dot2_rows(const Width& w, const Access& rows_of, std::size_t rows,
+                                      const double* r_prev, const double* r_prev2,
+                                      double* r_next, PairedDots* dots) {
+  using Pack = typename Width::Pack;
+  Pack local[Width::kPacks]{};
+  auto lanes = pack_lanes<8>(w);  // <next|prev> in rows 0-3, <prev|prev> in rows 4-7
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t at = r * w.members();
+    Pack* acc = row_accumulators<Width>(local, r_next + at);
+    accumulate_row(w, rows_of, r, r_prev, acc);
+    Pack* np = lanes.row(r & 3);
+    Pack* pp = lanes.row(4 + (r & 3));
+    for_each_pack(w, [&](std::size_t j) {
+      const std::size_t k = at + j * Width::kPack;
+      const Pack next = 2.0 * acc[j] - load_pack<Pack>(r_prev2 + k);
+      const Pack prev = load_pack<Pack>(r_prev + k);
+      store_pack(r_next + k, next);
+      np[j] += next * prev;
+      pp[j] += prev * prev;
+    });
+  }
+  for_each_lane_sum(w, lanes, 0, [&](std::size_t m, double v) { dots[m].next_prev = v; });
+  for_each_lane_sum(w, lanes, 4, [&](std::size_t m, double v) { dots[m].prev_prev = v; });
+}
+
+// Width-dispatching drivers shared by every storage.
+
+template <typename Access>
+void multiply_block(const Access& rows_of, std::size_t rows, std::size_t block,
+                    std::span<const double> x, std::span<double> y) {
+  for_member_width(block, [&](const auto& w) {
+    spmmv_multiply_rows(w, rows_of, rows, x.data(), y.data());
+  });
+}
+
+template <typename Access>
+void dot_block(const Access& rows_of, std::size_t rows, std::size_t block,
+               std::span<const double> r_prev, std::span<const double> r_prev2,
+               std::span<const double> r0, std::span<double> r_next, std::span<double> dots) {
+  for_member_width(block, [&](const auto& w) {
+    spmmv_dot_rows(w, rows_of, rows, r_prev.data(), r_prev2.data(), r0.data(), r_next.data(),
+                   dots.data());
+  });
+}
+
+template <typename Access>
+void dot2_block(const Access& rows_of, std::size_t rows, std::size_t block,
+                std::span<const double> r_prev, std::span<const double> r_prev2,
+                std::span<double> r_next, std::span<PairedDots> dots) {
+  for_member_width(block, [&](const auto& w) {
+    spmmv_dot2_rows(w, rows_of, rows, r_prev.data(), r_prev2.data(), r_next.data(),
+                    dots.data());
+  });
 }
 
 }  // namespace
@@ -452,47 +659,44 @@ void block_dot(std::span<const double> x, std::span<const double> y, std::size_t
               "block_dot: block vector size mismatch");
   KPM_REQUIRE(dots.size() == block, "block_dot: dots size mismatch");
   const std::size_t dim = x.size() / block;
-  std::vector<double> lanes(4 * block, 0.0);  // lanes[4*j + (i & 3)]
-  for (std::size_t i = 0; i < dim; ++i) {
-    const double* xi = x.data() + i * block;
-    const double* yi = y.data() + i * block;
-    const std::size_t lane = i & 3;
-    for (std::size_t j = 0; j < block; ++j) lanes[4 * j + lane] += xi[j] * yi[j];
-  }
-  for (std::size_t j = 0; j < block; ++j) {
-    const double* l = lanes.data() + 4 * j;
-    dots[j] = (l[0] + l[1]) + (l[2] + l[3]);
-  }
+  for_member_width(block, [&](const auto& w) {
+    block_dot_rows(w, dim, x.data(), y.data(), dots.data());
+  });
 }
+
+namespace detail {
+
+void spmmv_multiply_unmetered(const CrsMatrix& a, std::size_t block, std::span<const double> x,
+                              std::span<double> y) {
+  require_multiply_preconditions(a.rows(), a.cols(), block, x, y);
+  multiply_block(CrsAccess(a), a.rows(), block, x, y);
+}
+
+void spmmv_multiply_unmetered(const SellMatrix& a, std::size_t block,
+                              std::span<const double> x, std::span<double> y) {
+  require_multiply_preconditions(a.rows(), a.cols(), block, x, y);
+  multiply_block(SellAccess(a), a.rows(), block, x, y);
+}
+
+}  // namespace detail
 
 void spmmv_multiply(const CrsMatrix& a, std::size_t block, std::span<const double> x,
                     std::span<double> y) {
-  KPM_REQUIRE(block >= 1, "spmmv_multiply: block must be >= 1");
-  KPM_REQUIRE(x.size() == a.cols() * block && y.size() == a.rows() * block,
-              "spmmv_multiply: block size mismatch");
-  KPM_REQUIRE(y.data() != x.data(), "spmmv_multiply: y must not alias x");
+  detail::spmmv_multiply_unmetered(a, block, x, y);
   meter_spmmv(2 * a.nnz(), crs_matrix_bytes(a), a.rows(), block);
-  spmmv_multiply_kernel(CrsAccess(a), a.rows(), block, x, y);
 }
 
 void spmmv_multiply(const SellMatrix& a, std::size_t block, std::span<const double> x,
                     std::span<double> y) {
-  KPM_REQUIRE(block >= 1, "spmmv_multiply: block must be >= 1");
-  KPM_REQUIRE(x.size() == a.cols() * block && y.size() == a.rows() * block,
-              "spmmv_multiply: block size mismatch");
-  KPM_REQUIRE(y.data() != x.data(), "spmmv_multiply: y must not alias x");
+  detail::spmmv_multiply_unmetered(a, block, x, y);
   meter_spmmv(2 * a.nnz(), a.spmv_matrix_bytes(), a.rows(), block);
-  spmmv_multiply_kernel(SellAccess(a), a.rows(), block, x, y);
 }
 
 void spmmv_multiply(const DenseMatrix& a, std::size_t block, std::span<const double> x,
                     std::span<double> y) {
-  KPM_REQUIRE(block >= 1, "spmmv_multiply: block must be >= 1");
-  KPM_REQUIRE(x.size() == a.cols() * block && y.size() == a.rows() * block,
-              "spmmv_multiply: block size mismatch");
-  KPM_REQUIRE(y.data() != x.data(), "spmmv_multiply: y must not alias x");
+  require_multiply_preconditions(a.rows(), a.cols(), block, x, y);
   meter_spmmv(2 * a.rows() * a.cols(), a.rows() * a.cols() * sizeof(double), a.rows(), block);
-  spmmv_multiply_kernel(DenseAccess(a), a.rows(), block, x, y);
+  multiply_block(DenseAccess(a), a.rows(), block, x, y);
 }
 
 void spmmv_multiply(const MatrixOperator& op, std::size_t block, std::span<const double> x,
@@ -510,7 +714,7 @@ void spmmv_combine_dot(const CrsMatrix& a, std::size_t block, std::span<const do
               "spmmv_combine_dot: r0/dots size mismatch");
   KPM_REQUIRE(r_next.data() != r0.data(), "spmmv_combine_dot: r_next must not alias r0");
   meter_fused(2 * a.nnz(), crs_matrix_bytes(a), a.rows(), 1, sizeof(double), block);
-  spmmv_dot_kernel(CrsAccess(a), a.rows(), block, r_prev, r_prev2, r0, r_next, dots);
+  dot_block(CrsAccess(a), a.rows(), block, r_prev, r_prev2, r0, r_next, dots);
 }
 
 void spmmv_combine_dot(const SellMatrix& a, std::size_t block, std::span<const double> r_prev,
@@ -521,7 +725,7 @@ void spmmv_combine_dot(const SellMatrix& a, std::size_t block, std::span<const d
               "spmmv_combine_dot: r0/dots size mismatch");
   KPM_REQUIRE(r_next.data() != r0.data(), "spmmv_combine_dot: r_next must not alias r0");
   meter_fused(2 * a.nnz(), a.spmv_matrix_bytes(), a.rows(), 1, sizeof(double), block);
-  spmmv_dot_kernel(SellAccess(a), a.rows(), block, r_prev, r_prev2, r0, r_next, dots);
+  dot_block(SellAccess(a), a.rows(), block, r_prev, r_prev2, r0, r_next, dots);
 }
 
 void spmmv_combine_dot(const DenseMatrix& a, std::size_t block, std::span<const double> r_prev,
@@ -533,7 +737,7 @@ void spmmv_combine_dot(const DenseMatrix& a, std::size_t block, std::span<const 
   KPM_REQUIRE(r_next.data() != r0.data(), "spmmv_combine_dot: r_next must not alias r0");
   meter_fused(2 * a.rows() * a.cols(), a.rows() * a.cols() * sizeof(double), a.rows(), 1,
               sizeof(double), block);
-  spmmv_dot_kernel(DenseAccess(a), a.rows(), block, r_prev, r_prev2, r0, r_next, dots);
+  dot_block(DenseAccess(a), a.rows(), block, r_prev, r_prev2, r0, r_next, dots);
 }
 
 void spmmv_combine_dot(const MatrixOperator& op, std::size_t block,
@@ -553,7 +757,7 @@ void spmmv_combine_dot2(const CrsMatrix& a, std::size_t block, std::span<const d
   require_spmmv_preconditions(a.rows(), a.cols(), block, r_prev, r_prev2, r_next);
   KPM_REQUIRE(dots.size() == block, "spmmv_combine_dot2: dots size mismatch");
   meter_fused(2 * a.nnz(), crs_matrix_bytes(a), a.rows(), 2, sizeof(double), block);
-  spmmv_dot2_kernel(CrsAccess(a), a.rows(), block, r_prev, r_prev2, r_next, dots);
+  dot2_block(CrsAccess(a), a.rows(), block, r_prev, r_prev2, r_next, dots);
 }
 
 void spmmv_combine_dot2(const SellMatrix& a, std::size_t block, std::span<const double> r_prev,
@@ -562,7 +766,7 @@ void spmmv_combine_dot2(const SellMatrix& a, std::size_t block, std::span<const 
   require_spmmv_preconditions(a.rows(), a.cols(), block, r_prev, r_prev2, r_next);
   KPM_REQUIRE(dots.size() == block, "spmmv_combine_dot2: dots size mismatch");
   meter_fused(2 * a.nnz(), a.spmv_matrix_bytes(), a.rows(), 2, sizeof(double), block);
-  spmmv_dot2_kernel(SellAccess(a), a.rows(), block, r_prev, r_prev2, r_next, dots);
+  dot2_block(SellAccess(a), a.rows(), block, r_prev, r_prev2, r_next, dots);
 }
 
 void spmmv_combine_dot2(const DenseMatrix& a, std::size_t block, std::span<const double> r_prev,
@@ -572,7 +776,7 @@ void spmmv_combine_dot2(const DenseMatrix& a, std::size_t block, std::span<const
   KPM_REQUIRE(dots.size() == block, "spmmv_combine_dot2: dots size mismatch");
   meter_fused(2 * a.rows() * a.cols(), a.rows() * a.cols() * sizeof(double), a.rows(), 2,
               sizeof(double), block);
-  spmmv_dot2_kernel(DenseAccess(a), a.rows(), block, r_prev, r_prev2, r_next, dots);
+  dot2_block(DenseAccess(a), a.rows(), block, r_prev, r_prev2, r_next, dots);
 }
 
 void spmmv_combine_dot2(const MatrixOperator& op, std::size_t block,
@@ -615,29 +819,29 @@ void spmmv_combine_dot_re(const CrsMatrixZ& a, std::size_t block,
     obs::add(obs::Counter::FusedBytes, bytes);
   }
 
+  // No width dispatch here: a std::complex multiply-add does not pack into
+  // Double2 lanes, and its non-finite fallback is a library call that would
+  // evict register-resident accumulators.  Each member accumulates in its
+  // own slot of the output row instead, which needs no scratch.
   const auto row_ptr = a.row_ptr();
   const auto col_idx = a.col_idx();
   const auto values = a.values();
-  const std::size_t rows = a.rows();
-
-  std::vector<std::complex<double>> acc(block);
-  // Per member: single-lane left fold, matching spmv_combine_dot_re.
-  std::fill(dots.begin(), dots.end(), 0.0);
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::fill(acc.begin(), acc.end(), std::complex<double>{0.0, 0.0});
+  std::fill(dots.begin(), dots.end(), 0.0);  // per member: single-lane left fold
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    Complex* acc = r_next.data() + r * block;
+    std::fill_n(acc, block, Complex{});
+    // Same accumulation order as CrsMatrixZ::multiply, per member.
     for (auto k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
       const auto kk = static_cast<std::size_t>(k);
-      const std::complex<double> v = values[kk];
-      const std::complex<double>* xc =
-          r_prev.data() + static_cast<std::size_t>(col_idx[kk]) * block;
+      const Complex v = values[kk];
+      const Complex* xc = r_prev.data() + static_cast<std::size_t>(col_idx[kk]) * block;
       for (std::size_t j = 0; j < block; ++j) acc[j] += v * xc[j];
     }
-    const std::complex<double>* p2 = r_prev2.data() + r * block;
-    const std::complex<double>* z = r0.data() + r * block;
-    std::complex<double>* yr = r_next.data() + r * block;
+    const Complex* p2 = r_prev2.data() + r * block;
+    const Complex* z = r0.data() + r * block;
     for (std::size_t j = 0; j < block; ++j) {
-      const std::complex<double> next = 2.0 * acc[j] - p2[j];
-      yr[j] = next;
+      const Complex next = 2.0 * acc[j] - p2[j];
+      acc[j] = next;
       dots[j] += (std::conj(z[j]) * next).real();
     }
   }

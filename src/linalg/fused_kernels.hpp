@@ -97,7 +97,9 @@ struct PairedDots {
 // Vector-block (SpMMV) kernels.  `block` is B >= 1; block spans hold
 // dim * B doubles in the interleaved layout described above, and `dots`
 // outputs hold one value per member.  Every kernel streams the matrix ONCE
-// for all B members.
+// for all B members.  The real kernels run B in {1, 2, 4, 8, 16, 32} with a
+// compile-time member count and stride, which keeps the member accumulators
+// in registers; see docs/performance.md, "Member-width dispatch".
 
 /// Per-member dot products <x_j | y_j> of two interleaved blocks, each in
 /// linalg::dot's canonical 4-lane order (element i feeds lane i mod 4).

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "linalg/spmmv_unmetered.hpp"
 
 namespace kpm::linalg {
 
@@ -228,53 +229,16 @@ void ShardedMatrix::shard_multiply(std::size_t p, std::span<const double> x_work
 }
 
 void ShardedMatrix::shard_multiply_block(std::size_t p, std::size_t block,
-                                         std::span<const double> x_work, std::span<double> y,
-                                         std::span<double> acc) const {
+                                         std::span<const double> x_work,
+                                         std::span<double> y) const {
   const MatrixShard& s = shard(p);
-  KPM_REQUIRE(block >= 1, "shard_multiply_block: block must be >= 1");
-  KPM_REQUIRE(x_work.size() == s.working_size() * block && y.size() == s.local_rows() * block,
-              "shard_multiply_block: block size mismatch");
-  KPM_REQUIRE(acc.size() >= block, "shard_multiply_block: acc scratch too small");
-  // Each member's per-row accumulation runs in entry order with its own
-  // register accumulator — identical to linalg::spmmv_multiply member-wise.
-  if (storage_ == Storage::Sell) {
-    const SellMatrix& m = s.sell;
-    const auto chunk_ptr = m.chunk_ptr();
-    const auto row_len = m.row_len();
-    const auto slot_of = m.slot_of();
-    const auto col_idx = m.col_idx();
-    const auto values = m.values();
-    const std::size_t c_sz = m.chunk_size();
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-      const auto slot = static_cast<std::size_t>(slot_of[r]);
-      const std::size_t chunk = slot / c_sz;
-      const std::size_t lane = slot % c_sz;
-      const auto base = static_cast<std::size_t>(chunk_ptr[chunk]);
-      for (std::size_t j = 0; j < block; ++j) acc[j] = 0.0;
-      for (std::size_t e = 0; e < static_cast<std::size_t>(row_len[slot]); ++e) {
-        const std::size_t k = base + e * c_sz + lane;
-        const double v = values[k];
-        const auto c = static_cast<std::size_t>(col_idx[k]);
-        for (std::size_t j = 0; j < block; ++j) acc[j] += v * x_work[c * block + j];
-      }
-      for (std::size_t j = 0; j < block; ++j) y[r * block + j] = acc[j];
-    }
-    return;
-  }
-  const CrsMatrix& m = s.local;
-  const auto row_ptr = m.row_ptr();
-  const auto col_idx = m.col_idx();
-  const auto values = m.values();
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t j = 0; j < block; ++j) acc[j] = 0.0;
-    for (auto k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      const double v = values[kk];
-      const auto c = static_cast<std::size_t>(col_idx[kk]);
-      for (std::size_t j = 0; j < block; ++j) acc[j] += v * x_work[c * block + j];
-    }
-    for (std::size_t j = 0; j < block; ++j) y[r * block + j] = acc[j];
-  }
+  // The unsharded blocked kernel's row body (which checks the block and
+  // span sizes): each member's per-row accumulation runs in entry order,
+  // identical to linalg::spmmv_multiply.
+  if (storage_ == Storage::Sell)
+    detail::spmmv_multiply_unmetered(s.sell, block, x_work, y);
+  else
+    detail::spmmv_multiply_unmetered(s.local, block, x_work, y);
 }
 
 }  // namespace kpm::linalg

@@ -152,10 +152,10 @@ class ShardedMatrix {
 
   /// Blocked (SpMMV) variant over interleaved blocks: member j of working
   /// row i at x_work[i*block + j].  Each member's per-row accumulation is
-  /// identical to shard_multiply on its deinterleaved vector.  `acc` is
-  /// caller-provided scratch of at least `block` doubles.
+  /// identical to shard_multiply on its deinterleaved vector.  Unmetered:
+  /// the cluster engine meters the unsharded operator's model.
   void shard_multiply_block(std::size_t p, std::size_t block, std::span<const double> x_work,
-                            std::span<double> y, std::span<double> acc) const;
+                            std::span<double> y) const;
 
  private:
   Decomposition dec_;

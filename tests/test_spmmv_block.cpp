@@ -20,8 +20,10 @@
 #include "lattice/peierls.hpp"
 #include "linalg/crs_matrix.hpp"
 #include "linalg/fused_kernels.hpp"
+#include "linalg/decomposition.hpp"
 #include "linalg/operator.hpp"
 #include "linalg/sell_matrix.hpp"
+#include "linalg/shard.hpp"
 #include "linalg/spectral_transform.hpp"
 #include "linalg/vector_ops.hpp"
 #include "obs/counters.hpp"
@@ -67,6 +69,11 @@ std::vector<double> interleave(const std::vector<std::vector<double>>& members) 
   return blk;
 }
 
+/// Block widths every kernel test sweeps: each compile-time table width
+/// (1, 2, 4, 8, 16, 32), runtime widths between them, and the wide blocks
+/// 33 (a 32-member tile plus a 1-member rest) and 64 (two 32-member tiles).
+constexpr std::size_t kWidths[] = {1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64};
+
 MomentParams small_params(std::size_t n, std::size_t r, std::size_t s) {
   MomentParams p;
   p.num_moments = n;
@@ -80,7 +87,7 @@ MomentParams small_params(std::size_t n, std::size_t r, std::size_t s) {
 
 TEST(SpmmvKernels, BlockDotMatchesPerMemberDot) {
   const std::size_t d = 29;
-  for (const std::size_t b : {1u, 2u, 3u, 4u, 8u}) {
+  for (const std::size_t b : kWidths) {
     std::vector<std::vector<double>> xs(b, std::vector<double>(d)), ys = xs;
     for (std::size_t j = 0; j < b; ++j)
       for (std::size_t i = 0; i < d; ++i) {
@@ -100,7 +107,7 @@ TEST(SpmmvKernels, MultiplyMatchesPerVectorBitwise) {
   const auto sell = SellMatrix::from_crs(crs, 4, 8);
   const auto dense = crs.to_dense();
   const std::size_t d = crs.rows();
-  for (const std::size_t b : {1u, 2u, 3u, 5u, 8u}) {
+  for (const std::size_t b : kWidths) {
     std::vector<std::vector<double>> xs(b, std::vector<double>(d));
     for (std::size_t j = 0; j < b; ++j)
       for (std::size_t i = 0; i < d; ++i) xs[j][i] = wiggle(i * b + 7 * j + 2);
@@ -123,8 +130,9 @@ TEST(SpmmvKernels, MultiplyMatchesPerVectorBitwise) {
 TEST(SpmmvKernels, CombineDotMatchesPerVectorBitwise) {
   const auto crs = sparse_example(23);
   const auto sell = SellMatrix::from_crs(crs, 4, 8);
+  const auto dense = crs.to_dense();
   const std::size_t d = crs.rows();
-  for (const std::size_t b : {1u, 2u, 4u, 7u}) {
+  for (const std::size_t b : kWidths) {
     std::vector<std::vector<double>> prevs(b, std::vector<double>(d)), prev2s = prevs,
                                      r0s = prevs;
     for (std::size_t j = 0; j < b; ++j)
@@ -134,14 +142,17 @@ TEST(SpmmvKernels, CombineDotMatchesPerVectorBitwise) {
         r0s[j][i] = wiggle(7 * (i * b + j) + 1);
       }
     const auto prev_b = interleave(prevs), prev2_b = interleave(prev2s), r0_b = interleave(r0s);
-    for (const MatrixOperator& op : {MatrixOperator(crs), MatrixOperator(sell)}) {
+    for (const MatrixOperator& op :
+         {MatrixOperator(crs), MatrixOperator(sell), MatrixOperator(dense)}) {
+      const auto storage = kpm::linalg::to_string(op.storage());
       std::vector<double> next_b(d * b), dots(b), expect_next(d);
       kpm::linalg::spmmv_combine_dot(op, b, prev_b, prev2_b, r0_b, next_b, dots);
       for (std::size_t j = 0; j < b; ++j) {
         const double mu =
             kpm::linalg::spmv_combine_dot(op, prevs[j], prev2s[j], r0s[j], expect_next);
-        EXPECT_EQ(dots[j], mu) << "B=" << b << " member " << j;
-        for (std::size_t i = 0; i < d; ++i) EXPECT_EQ(next_b[i * b + j], expect_next[i]);
+        EXPECT_EQ(dots[j], mu) << storage << " B=" << b << " member " << j;
+        for (std::size_t i = 0; i < d; ++i)
+          EXPECT_EQ(next_b[i * b + j], expect_next[i]) << storage << " B=" << b << " i=" << i;
       }
     }
   }
@@ -150,24 +161,30 @@ TEST(SpmmvKernels, CombineDotMatchesPerVectorBitwise) {
 TEST(SpmmvKernels, CombineDot2MatchesPerVectorBitwise) {
   const auto crs = sparse_example(23);
   const auto sell = SellMatrix::from_crs(crs, 4, 8);
+  const auto dense = crs.to_dense();
   const std::size_t d = crs.rows();
-  const std::size_t b = 3;
-  std::vector<std::vector<double>> prevs(b, std::vector<double>(d)), prev2s = prevs;
-  for (std::size_t j = 0; j < b; ++j)
-    for (std::size_t i = 0; i < d; ++i) {
-      prevs[j][i] = wiggle(5 * (i * b + j) + 2);
-      prev2s[j][i] = wiggle(11 * (i * b + j) + 3);
-    }
-  const auto prev_b = interleave(prevs), prev2_b = interleave(prev2s);
-  for (const MatrixOperator& op : {MatrixOperator(crs), MatrixOperator(sell)}) {
-    std::vector<double> next_b(d * b), expect_next(d);
-    std::vector<kpm::linalg::PairedDots> dots(b);
-    kpm::linalg::spmmv_combine_dot2(op, b, prev_b, prev2_b, next_b, dots);
-    for (std::size_t j = 0; j < b; ++j) {
-      const auto expect = kpm::linalg::spmv_combine_dot2(op, prevs[j], prev2s[j], expect_next);
-      EXPECT_EQ(dots[j].next_prev, expect.next_prev) << "member " << j;
-      EXPECT_EQ(dots[j].prev_prev, expect.prev_prev) << "member " << j;
-      for (std::size_t i = 0; i < d; ++i) EXPECT_EQ(next_b[i * b + j], expect_next[i]);
+  for (const std::size_t b : kWidths) {
+    std::vector<std::vector<double>> prevs(b, std::vector<double>(d)), prev2s = prevs;
+    for (std::size_t j = 0; j < b; ++j)
+      for (std::size_t i = 0; i < d; ++i) {
+        prevs[j][i] = wiggle(5 * (i * b + j) + 2);
+        prev2s[j][i] = wiggle(11 * (i * b + j) + 3);
+      }
+    const auto prev_b = interleave(prevs), prev2_b = interleave(prev2s);
+    for (const MatrixOperator& op :
+         {MatrixOperator(crs), MatrixOperator(sell), MatrixOperator(dense)}) {
+      const auto storage = kpm::linalg::to_string(op.storage());
+      std::vector<double> next_b(d * b), expect_next(d);
+      std::vector<kpm::linalg::PairedDots> dots(b);
+      kpm::linalg::spmmv_combine_dot2(op, b, prev_b, prev2_b, next_b, dots);
+      for (std::size_t j = 0; j < b; ++j) {
+        const auto expect =
+            kpm::linalg::spmv_combine_dot2(op, prevs[j], prev2s[j], expect_next);
+        EXPECT_EQ(dots[j].next_prev, expect.next_prev) << storage << " B=" << b << " member " << j;
+        EXPECT_EQ(dots[j].prev_prev, expect.prev_prev) << storage << " B=" << b << " member " << j;
+        for (std::size_t i = 0; i < d; ++i)
+          EXPECT_EQ(next_b[i * b + j], expect_next[i]) << storage << " B=" << b << " i=" << i;
+      }
     }
   }
 }
@@ -177,29 +194,64 @@ TEST(SpmmvKernels, ComplexCombineDotReMatchesPerVectorBitwise) {
   const kpm::linalg::SpectralTransform t(h.gershgorin(), 0.02);
   const auto ht = kpm::linalg::rescale(h, t);
   const std::size_t d = ht.rows();
-  const std::size_t b = 3;
   using Z = std::complex<double>;
-  std::vector<std::vector<Z>> prevs(b, std::vector<Z>(d)), prev2s = prevs, r0s = prevs;
-  for (std::size_t j = 0; j < b; ++j)
-    for (std::size_t i = 0; i < d; ++i) {
-      prevs[j][i] = Z(wiggle(i * b + j + 2), wiggle(i * b + j + 9));
-      prev2s[j][i] = Z(wiggle(3 * (i * b + j) + 5), wiggle(i * b + j + 4));
-      r0s[j][i] = Z(wiggle(7 * (i * b + j) + 1), wiggle(i * b + j + 6));
+  for (const std::size_t b : kWidths) {
+    std::vector<std::vector<Z>> prevs(b, std::vector<Z>(d)), prev2s = prevs, r0s = prevs;
+    for (std::size_t j = 0; j < b; ++j)
+      for (std::size_t i = 0; i < d; ++i) {
+        prevs[j][i] = Z(wiggle(i * b + j + 2), wiggle(i * b + j + 9));
+        prev2s[j][i] = Z(wiggle(3 * (i * b + j) + 5), wiggle(i * b + j + 4));
+        r0s[j][i] = Z(wiggle(7 * (i * b + j) + 1), wiggle(i * b + j + 6));
+      }
+    std::vector<Z> prev_b(d * b), prev2_b(d * b), r0_b(d * b), next_b(d * b), expect_next(d);
+    for (std::size_t j = 0; j < b; ++j)
+      for (std::size_t i = 0; i < d; ++i) {
+        prev_b[i * b + j] = prevs[j][i];
+        prev2_b[i * b + j] = prev2s[j][i];
+        r0_b[i * b + j] = r0s[j][i];
+      }
+    std::vector<double> dots(b);
+    kpm::linalg::spmmv_combine_dot_re(ht, b, prev_b, prev2_b, r0_b, next_b, dots);
+    for (std::size_t j = 0; j < b; ++j) {
+      const double mu =
+          kpm::linalg::spmv_combine_dot_re(ht, prevs[j], prev2s[j], r0s[j], expect_next);
+      EXPECT_EQ(dots[j], mu) << "B=" << b << " member " << j;
+      for (std::size_t i = 0; i < d; ++i)
+        EXPECT_EQ(next_b[i * b + j], expect_next[i]) << "B=" << b << " i=" << i;
     }
-  std::vector<Z> prev_b(d * b), prev2_b(d * b), r0_b(d * b), next_b(d * b), expect_next(d);
-  for (std::size_t j = 0; j < b; ++j)
-    for (std::size_t i = 0; i < d; ++i) {
-      prev_b[i * b + j] = prevs[j][i];
-      prev2_b[i * b + j] = prev2s[j][i];
-      r0_b[i * b + j] = r0s[j][i];
+  }
+}
+
+// The sharded cluster engine's shard-local blocked multiply runs the same
+// row body on each shard's rectangular [ghosts | owned] matrix: its rows
+// must equal the unsharded kernel's owned rows bit-for-bit at every width.
+TEST(SpmmvKernels, ShardMultiplyBlockMatchesUnshardedKernel) {
+  const auto crs = sparse_example(23);
+  const std::size_t d = crs.rows();
+  const MatrixOperator op(crs);
+  for (const auto storage : {kpm::linalg::Storage::Crs, kpm::linalg::Storage::Sell}) {
+    const kpm::linalg::ShardedMatrix sm(op, kpm::linalg::Decomposition::uniform(d, 3), storage);
+    for (const std::size_t b : kWidths) {
+      std::vector<double> x(d * b), y(d * b);
+      for (std::size_t i = 0; i < d * b; ++i) x[i] = wiggle(3 * i + 1);
+      kpm::linalg::spmmv_multiply(op, b, x, y);
+      for (std::size_t p = 0; p < sm.nodes(); ++p) {
+        const auto& s = sm.shard(p);
+        // Working vector: owned rows after the left ghosts, ghosts at their slots.
+        std::vector<double> work(s.working_size() * b), local(s.local_rows() * b);
+        for (std::size_t lr = 0; lr < s.local_rows(); ++lr)
+          for (std::size_t j = 0; j < b; ++j)
+            work[(s.owned_offset() + lr) * b + j] = x[(s.row_begin + lr) * b + j];
+        for (std::size_t g = 0; g < s.ghost_rows.size(); ++g)
+          for (std::size_t j = 0; j < b; ++j)
+            work[s.ghost_position(g) * b + j] =
+                x[static_cast<std::size_t>(s.ghost_rows[g]) * b + j];
+        sm.shard_multiply_block(p, b, work, local);
+        for (std::size_t k = 0; k < local.size(); ++k)
+          EXPECT_EQ(local[k], y[s.row_begin * b + k])
+              << kpm::linalg::to_string(storage) << " B=" << b << " shard " << p;
+      }
     }
-  std::vector<double> dots(b);
-  kpm::linalg::spmmv_combine_dot_re(ht, b, prev_b, prev2_b, r0_b, next_b, dots);
-  for (std::size_t j = 0; j < b; ++j) {
-    const double mu =
-        kpm::linalg::spmv_combine_dot_re(ht, prevs[j], prev2s[j], r0s[j], expect_next);
-    EXPECT_EQ(dots[j], mu) << "member " << j;
-    for (std::size_t i = 0; i < d; ++i) EXPECT_EQ(next_b[i * b + j], expect_next[i]);
   }
 }
 
@@ -230,11 +282,13 @@ TEST(SpmmvKernels, RejectsAliasedAndMalformedBlocks) {
 TEST(BlockedEngines, ReferenceEngineIsBlockInvariant) {
   const auto crs = cube_h_tilde();
   const auto sell = SellMatrix::from_crs(crs, 8, 32);
-  auto params = small_params(33, 6, 1);  // odd N, block does not divide instances
+  // Odd N; 37 instances give full groups at every table width up to 32
+  // (4 x 8, 2 x 16, 1 x 32) plus a ragged tail, which runs at a runtime width.
+  auto params = small_params(33, 37, 1);
   kpm::core::CpuMomentEngine engine;
   params.block_r = 1;
   const auto reference = engine.compute(MatrixOperator(crs), params);
-  for (const std::size_t b : {2u, 3u, 4u, 6u, 8u}) {
+  for (const std::size_t b : {2u, 3u, 4u, 6u, 8u, 16u, 32u}) {
     params.block_r = b;
     for (const MatrixOperator& op : {MatrixOperator(crs), MatrixOperator(sell)}) {
       const auto blocked = engine.compute(op, params);
