@@ -151,30 +151,34 @@ void BM_PhiloxFill(benchmark::State& state) {
 }
 BENCHMARK(BM_PhiloxFill)->Arg(1000)->Arg(262144);
 
-/// Direct (Clenshaw per point) vs FFT reconstruction of the same curve.
-void BM_ReconstructDirect(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  std::vector<double> mu(512);
+/// Direct (batched Clenshaw) vs FFT reconstruction of the same curve, at
+/// serve-replay's shapes.  Args: moments N, grid points M.  Items are
+/// point-terms (M * N, the Clenshaw work) for both, so their rates compare
+/// directly; ns per point-term is 1e9 / items_per_second.
+template <auto Reconstruct>
+void reconstruct_bench(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto m = static_cast<std::size_t>(state.range(1));
+  std::vector<double> mu(n);
   const double theta0 = std::acos(0.37);
-  for (std::size_t n = 0; n < mu.size(); ++n) mu[n] = std::cos(static_cast<double>(n) * theta0);
+  for (std::size_t k = 0; k < n; ++k) mu[k] = std::cos(static_cast<double>(k) * theta0);
   const kpm::linalg::SpectralTransform t({-1.0, 1.0}, 0.0);
   kpm::core::ReconstructOptions opts;
   opts.points = m;
-  for (auto _ : state) benchmark::DoNotOptimize(kpm::core::reconstruct_dos(mu, t, opts));
+  for (auto _ : state) benchmark::DoNotOptimize(Reconstruct(mu, t, opts));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(m * n));
 }
-BENCHMARK(BM_ReconstructDirect)->Arg(1024)->Arg(8192);
+
+void BM_ReconstructDirect(benchmark::State& state) {
+  reconstruct_bench<kpm::core::reconstruct_dos>(state);
+}
+BENCHMARK(BM_ReconstructDirect)->ArgNames({"N", "M"})->ArgsProduct({{128, 256}, {1024, 4096}});
 
 void BM_ReconstructFft(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  std::vector<double> mu(512);
-  const double theta0 = std::acos(0.37);
-  for (std::size_t n = 0; n < mu.size(); ++n) mu[n] = std::cos(static_cast<double>(n) * theta0);
-  const kpm::linalg::SpectralTransform t({-1.0, 1.0}, 0.0);
-  kpm::core::ReconstructOptions opts;
-  opts.points = m;
-  for (auto _ : state) benchmark::DoNotOptimize(kpm::core::reconstruct_dos_fft(mu, t, opts));
+  reconstruct_bench<kpm::core::reconstruct_dos_fft>(state);
 }
-BENCHMARK(BM_ReconstructFft)->Arg(1024)->Arg(8192);
+BENCHMARK(BM_ReconstructFft)->ArgNames({"N", "M"})->ArgsProduct({{128, 256}, {1024, 4096}});
 
 }  // namespace
 

@@ -1,9 +1,12 @@
 #include "core/reconstruct.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <complex>
 #include <numbers>
 
+#include "common/double2.hpp"
 #include "common/error.hpp"
 #include "common/fft.hpp"
 #include "core/chebyshev.hpp"
@@ -28,19 +31,70 @@ std::vector<double> damp_moments(std::span<const double> mu, const ReconstructOp
   return damped;
 }
 
+// gamma(x) at kDosGammaBatch points by Clenshaw on the coefficients
+// a_0 = g0 mu0, a_n = 2 g_n mu_n: b_k = 2 d_k + 2x b_{k+1} - b_{k+2}, then
+// gamma = d_0 + x b_1 - b_2.  Grid points are independent recurrences, but
+// each one is a serial mul -> add -> sub chain per term, so one point at a
+// time runs at the chain's latency.  This runs the points side by side in
+// P packs of two per Double2, with b1 and b2 of every pack held in
+// registers.  At P = 5 the ten b1/b2 packs and the broadcast coefficient
+// stay in registers and GCC reads four of the five loop-invariant 2x packs
+// from the stack, off the dependency chain; P = 6 spills the recurrence
+// itself and measured slower.  Each lane evaluates the scalar expressions
+// in their scalar order, (2 d_k + (2x) b1) - b2 and (d_0 + x b1) - b2, so
+// every point's gamma is bitwise the one-point recurrence's.
+void series_gamma_packs(std::span<const double> damped, const double* x, double* gamma) {
+  static_assert(kDosGammaBatch % 2 == 0, "points pack two per Double2");
+  constexpr std::size_t P = kDosGammaBatch / 2;
+  Double2 two_x[P], b1[P], b2[P];
+  for_each_index<P>([&](std::size_t j) {
+    two_x[j] = 2.0 * load_pack<Double2>(x + 2 * j);
+    b1[j] = Double2{};
+    b2[j] = Double2{};
+  });
+  for (std::size_t k = damped.size(); k-- > 1;) {
+    const double two_d = 2.0 * damped[k];
+    for_each_index<P>([&](std::size_t j) {
+      const Double2 b0 = two_d + two_x[j] * b1[j] - b2[j];
+      b2[j] = b1[j];
+      b1[j] = b0;
+    });
+  }
+  for_each_index<P>([&](std::size_t j) {
+    const Double2 xj = load_pack<Double2>(x + 2 * j);
+    store_pack(gamma + 2 * j, damped[0] + xj * b1[j] - b2[j]);
+  });
+}
+
+// rho(x) = gamma(x) / (pi sqrt(1 - x^2)) on the Chebyshev interval.
+double density_from_gamma(double gamma, double x) {
+  return gamma / (std::numbers::pi * std::sqrt(1.0 - x * x));
+}
+
 }  // namespace
+
+void evaluate_dos_gamma(std::span<const double> damped, std::span<const double> x,
+                        std::span<double> gamma) {
+  KPM_REQUIRE(!damped.empty(), "evaluate_dos_gamma: no moments");
+  KPM_REQUIRE(gamma.size() == x.size(), "evaluate_dos_gamma: x/gamma size mismatch");
+  std::size_t j = 0;
+  for (; j + kDosGammaBatch <= x.size(); j += kDosGammaBatch)
+    series_gamma_packs(damped, x.data() + j, gamma.data() + j);
+  if (j == x.size()) return;
+  // The last partial batch runs on a zero-padded copy; lanes are
+  // independent, so the padding changes no valid point and is dropped.
+  const std::size_t tail = x.size() - j;
+  std::array<double, kDosGammaBatch> x_tail{}, gamma_tail{};
+  std::copy_n(x.data() + j, tail, x_tail.data());
+  series_gamma_packs(damped, x_tail.data(), gamma_tail.data());
+  std::copy_n(gamma_tail.data(), tail, gamma.data() + j);
+}
 
 double evaluate_dos_series(std::span<const double> damped, double x) {
   KPM_REQUIRE(x > -1.0 && x < 1.0, "evaluate_dos_series: x must lie strictly inside (-1, 1)");
-  // Clenshaw on coefficients a_0 = g0 mu0, a_n = 2 g_n mu_n.
-  double b1 = 0.0, b2 = 0.0;
-  for (std::size_t k = damped.size(); k-- > 1;) {
-    const double b0 = 2.0 * damped[k] + 2.0 * x * b1 - b2;
-    b2 = b1;
-    b1 = b0;
-  }
-  const double series = damped[0] + x * b1 - b2;
-  return series / (std::numbers::pi * std::sqrt(1.0 - x * x));
+  double gamma = 0.0;
+  evaluate_dos_gamma(damped, std::span(&x, 1), std::span(&gamma, 1));
+  return density_from_gamma(gamma, x);
 }
 
 DosCurve reconstruct_dos(std::span<const double> mu, const linalg::SpectralTransform& transform,
@@ -55,10 +109,11 @@ DosCurve reconstruct_dos(std::span<const double> mu, const linalg::SpectralTrans
   DosCurve curve;
   curve.energy.resize(grid.size());
   curve.density.resize(grid.size());
+  evaluate_dos_gamma(damped, grid, curve.density);
   const double jac = transform.density_jacobian();
   for (std::size_t j = 0; j < grid.size(); ++j) {
     curve.energy[j] = transform.to_physical(grid[j]);
-    curve.density[j] = evaluate_dos_series(damped, grid[j]) * jac;
+    curve.density[j] = density_from_gamma(curve.density[j], grid[j]) * jac;
   }
   return curve;
 }
@@ -115,16 +170,20 @@ DosCurve reconstruct_dos_at(std::span<const double> mu,
   meter_reconstruct(energies.size(), mu.size());
   const auto damped = damp_moments(mu, options);
 
+  // The density row holds x, then gamma(x) in place, then rho.
   DosCurve curve;
   curve.energy.assign(energies.begin(), energies.end());
   curve.density.resize(energies.size());
-  const double jac = transform.density_jacobian();
   for (std::size_t j = 0; j < energies.size(); ++j) {
     const double x = transform.to_unit(energies[j]);
     KPM_REQUIRE(x > -1.0 && x < 1.0,
                 "reconstruct_dos_at: energy outside the rescaled spectrum interval");
-    curve.density[j] = evaluate_dos_series(damped, x) * jac;
+    curve.density[j] = x;
   }
+  evaluate_dos_gamma(damped, curve.density, curve.density);
+  const double jac = transform.density_jacobian();
+  for (std::size_t j = 0; j < energies.size(); ++j)
+    curve.density[j] = density_from_gamma(curve.density[j], transform.to_unit(energies[j])) * jac;
   return curve;
 }
 

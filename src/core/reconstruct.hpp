@@ -32,6 +32,19 @@ struct ReconstructOptions {
 /// `damped` are the products g_n mu_n.
 [[nodiscard]] double evaluate_dos_series(std::span<const double> damped, double x);
 
+/// Points evaluate_dos_gamma runs through the recurrence together.  A
+/// partial last batch runs zero-padded, so a span whose size is a multiple
+/// of it wastes no lanes.
+inline constexpr std::size_t kDosGammaBatch = 10;
+
+/// gamma(x_j) = g_0 mu_0 + 2 sum_{n>=1} g_n mu_n T_n(x_j) at every x_j:
+/// the bracket of Eq. 6, without the 1 / (pi sqrt(1 - x^2)) weight.
+/// Batched Clenshaw over kDosGammaBatch points at once, bitwise equal
+/// point for point to the one-point scalar recurrence.
+/// `gamma` must have x's size and may be x itself (evaluation in place).
+void evaluate_dos_gamma(std::span<const double> damped, std::span<const double> x,
+                        std::span<double> gamma);
+
 /// Reconstructs rho(omega) on the Chebyshev-Gauss grid (the canonical KPM
 /// evaluation grid: uniform resolution in arccos x, integrates exactly).
 [[nodiscard]] DosCurve reconstruct_dos(std::span<const double> mu,

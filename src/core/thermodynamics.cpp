@@ -1,10 +1,13 @@
 #include "core/thermodynamics.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/chebyshev.hpp"
+#include "core/reconstruct.hpp"
 
 namespace kpm::core {
 
@@ -36,18 +39,14 @@ double spectral_average(std::span<const double> mu, const linalg::SpectralTransf
 
   // Chebyshev-Gauss: integral rho(x) f(x) dx = (1/M) sum_j gamma(x_j) f(x_j)
   // where rho(x) = gamma(x) / (pi sqrt(1-x^2)); the weight cancels exactly.
+  // gamma is evaluated a slice of the grid at a time into a stack buffer.
   const auto grid = chebyshev_gauss_grid(options.points);
+  std::array<double, 24 * kDosGammaBatch> gamma{};
   double acc = 0.0;
-  for (double x : grid) {
-    // gamma(x) = a_0 + 2 sum a_n T_n(x), via Clenshaw.
-    double b1 = 0.0, b2 = 0.0;
-    for (std::size_t k = damped.size(); k-- > 1;) {
-      const double b0 = 2.0 * damped[k] + 2.0 * x * b1 - b2;
-      b2 = b1;
-      b1 = b0;
-    }
-    const double gamma = damped[0] + x * b1 - b2;
-    acc += gamma * f(transform.to_physical(x));
+  for (std::size_t j0 = 0; j0 < grid.size(); j0 += gamma.size()) {
+    const auto x = std::span(grid).subspan(j0, std::min(gamma.size(), grid.size() - j0));
+    evaluate_dos_gamma(damped, x, std::span(gamma).first(x.size()));
+    for (std::size_t j = 0; j < x.size(); ++j) acc += gamma[j] * f(transform.to_physical(x[j]));
   }
   return acc / static_cast<double>(options.points);
 }

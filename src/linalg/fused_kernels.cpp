@@ -1,11 +1,10 @@
 #include "linalg/fused_kernels.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
+#include "common/double2.hpp"
 #include "common/error.hpp"
 #include "linalg/spmmv_unmetered.hpp"
 #include "obs/counters.hpp"
@@ -206,13 +205,10 @@ PairedDots fused_dot2_kernel(const Access& acc_rows, std::size_t rows,
 // order: entry order, 2*acc - prev2, and dot lane r & 3 folded as
 // (l0 + l1) + (l2 + l3).
 
-// Two doubles in one 128-bit register (GCC/Clang vector extension): + - *
-// act lane-wise with scalar IEEE semantics, and a scalar operand is
-// broadcast to both lanes.  The kernel bodies below are [[gnu::flatten]]:
-// their accumulators can only stay in registers if every helper and
-// lambda is inlined into them, which the inliner's size heuristics do not
-// otherwise guarantee.
-using Double2 = double __attribute__((vector_size(16)));
+// Members pack two per Double2 (common/double2.hpp).  The kernel bodies
+// below are [[gnu::flatten]]: their accumulators can only stay in
+// registers if every helper and lambda is inlined into them, which the
+// inliner's size heuristics do not otherwise guarantee.
 
 /// A table width: B members at block stride B, all compile-time.  Even
 /// widths pack two members per Double2.
@@ -259,24 +255,10 @@ void for_member_width(std::size_t block, Body&& body) {
 template <typename Width, typename F>
 void for_each_pack(const Width& w, F&& f) {
   if constexpr (Width::kCompileTime) {
-    [&]<std::size_t... J>(std::index_sequence<J...>) {
-      (f(J), ...);
-    }(std::make_index_sequence<Width::kPacks>{});
+    for_each_index<Width::kPacks>(f);
   } else {
     for (std::size_t j = 0; j < w.packs(); ++j) f(j);
   }
-}
-
-template <typename Pack>
-[[nodiscard]] Pack load_pack(const double* p) noexcept {
-  Pack v{};
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-template <typename Pack>
-void store_pack(double* p, const Pack& v) noexcept {
-  std::memcpy(p, &v, sizeof v);
 }
 
 /// Row r's member accumulators: the width's local array for a table width
@@ -463,9 +445,19 @@ void dot2_block(const Access& rows_of, std::size_t rows, std::size_t block,
 
 }  // namespace
 
-double spmv_combine_dot(const CrsMatrix& a, std::span<const double> r_prev,
-                        std::span<const double> r_prev2, std::span<const double> r0,
-                        std::span<double> r_next) {
+// The CRS entry points that hold the single-vector and blocked recursions'
+// hot loops (spmv_combine_dot, spmmv_combine_dot and the blocked multiply's
+// unmetered body) are pinned to the start of a 64-byte line.  GCC aligns
+// functions to 16 bytes, so without the pin an inner loop's offset within
+// its line moves whenever code linked before this file changes size, and a
+// loop that straddles a line boundary measurably slows the recursion
+// (docs/performance.md, "Hot-loop placement").
+
+[[gnu::aligned(64)]] double spmv_combine_dot(const CrsMatrix& a,
+                                             std::span<const double> r_prev,
+                                             std::span<const double> r_prev2,
+                                             std::span<const double> r0,
+                                             std::span<double> r_next) {
   require_fused_preconditions(a.rows(), a.cols(), r_prev, r_prev2, r_next);
   KPM_REQUIRE(r0.size() == a.rows(), "spmv_combine_dot: r0 size mismatch");
   KPM_REQUIRE(r_next.data() != r0.data(), "spmv_combine_dot: r_next must not alias r0");
@@ -666,8 +658,9 @@ void block_dot(std::span<const double> x, std::span<const double> y, std::size_t
 
 namespace detail {
 
-void spmmv_multiply_unmetered(const CrsMatrix& a, std::size_t block, std::span<const double> x,
-                              std::span<double> y) {
+[[gnu::aligned(64)]] void spmmv_multiply_unmetered(const CrsMatrix& a, std::size_t block,
+                                                   std::span<const double> x,
+                                                   std::span<double> y) {
   require_multiply_preconditions(a.rows(), a.cols(), block, x, y);
   multiply_block(CrsAccess(a), a.rows(), block, x, y);
 }
@@ -706,9 +699,11 @@ void spmmv_multiply(const MatrixOperator& op, std::size_t block, std::span<const
   return spmmv_multiply(*op.sell(), block, x, y);
 }
 
-void spmmv_combine_dot(const CrsMatrix& a, std::size_t block, std::span<const double> r_prev,
-                       std::span<const double> r_prev2, std::span<const double> r0,
-                       std::span<double> r_next, std::span<double> dots) {
+[[gnu::aligned(64)]] void spmmv_combine_dot(const CrsMatrix& a, std::size_t block,
+                                            std::span<const double> r_prev,
+                                            std::span<const double> r_prev2,
+                                            std::span<const double> r0,
+                                            std::span<double> r_next, std::span<double> dots) {
   require_spmmv_preconditions(a.rows(), a.cols(), block, r_prev, r_prev2, r_next);
   KPM_REQUIRE(r0.size() == a.rows() * block && dots.size() == block,
               "spmmv_combine_dot: r0/dots size mismatch");

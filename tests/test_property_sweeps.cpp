@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <string>
 #include <tuple>
 
 #include "core/kpm.hpp"
@@ -29,10 +30,27 @@ struct LatticeCase {
   lattice::HypercubicLattice lat;
 };
 
-class LatticeSweep : public ::testing::TestWithParam<LatticeCase> {};
+// Both lattice sweeps are indexed by position in this table.  gtest lists a
+// struct parameter without a printer as a raw byte dump, and for LatticeCase
+// that dump holds the address of `label`, which ASLR moves on every run; an
+// integer parameter is listed the same way every time.
+const LatticeCase kGeometries[] = {
+    {"chain16_periodic", lattice::HypercubicLattice::chain(16)},
+    {"chain16_open", lattice::HypercubicLattice::chain(16, lattice::Boundary::Open)},
+    {"square6x5", lattice::HypercubicLattice::square(6, 5)},
+    {"square4x4_open", lattice::HypercubicLattice::square(4, 4, lattice::Boundary::Open)},
+    {"cubic4", lattice::HypercubicLattice::cubic(4, 4, 4)},
+    {"cubic3_open", lattice::HypercubicLattice::cubic(3, 3, 3, lattice::Boundary::Open)},
+};
+
+std::string geometry_label(const ::testing::TestParamInfo<std::size_t>& info) {
+  return kGeometries[info.param].label;
+}
+
+class LatticeSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(LatticeSweep, DosIntegratesToOneAndIsNonNegative) {
-  const auto& lat = GetParam().lat;
+  const auto& lat = kGeometries[GetParam()].lat;
   const auto h = lattice::build_tight_binding_crs(lat);
   linalg::MatrixOperator op(h);
   const auto t = linalg::make_spectral_transform(op);
@@ -51,34 +69,9 @@ TEST_P(LatticeSweep, DosIntegratesToOneAndIsNonNegative) {
   for (double d : curve.density) EXPECT_GT(d, -1e-9);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, LatticeSweep,
-    ::testing::Values(
-        LatticeCase{"chain16_periodic", lattice::HypercubicLattice::chain(16)},
-        LatticeCase{"chain16_open",
-                    lattice::HypercubicLattice::chain(16, lattice::Boundary::Open)},
-        LatticeCase{"square6x5", lattice::HypercubicLattice::square(6, 5)},
-        LatticeCase{"square4x4_open",
-                    lattice::HypercubicLattice::square(4, 4, lattice::Boundary::Open)},
-        LatticeCase{"cubic4", lattice::HypercubicLattice::cubic(4, 4, 4)},
-        LatticeCase{"cubic3_open",
-                    lattice::HypercubicLattice::cubic(3, 3, 3, lattice::Boundary::Open)}),
-    [](const auto& info) { return info.param.label; });
-
-// The same geometries for the Gershgorin sweep, which is indexed by position in
-// this table. gtest lists a struct parameter without a printer as a raw byte
-// dump, and for LatticeCase that dump holds the address of `label`, which ASLR
-// moves on every run, so the listed test name changed from build to build; an
-// integer parameter is listed the same way every time. (The DoS sweep above
-// still lists the byte dump.)
-const LatticeCase kGeometries[] = {
-    {"chain16_periodic", lattice::HypercubicLattice::chain(16)},
-    {"chain16_open", lattice::HypercubicLattice::chain(16, lattice::Boundary::Open)},
-    {"square6x5", lattice::HypercubicLattice::square(6, 5)},
-    {"square4x4_open", lattice::HypercubicLattice::square(4, 4, lattice::Boundary::Open)},
-    {"cubic4", lattice::HypercubicLattice::cubic(4, 4, 4)},
-    {"cubic3_open", lattice::HypercubicLattice::cubic(3, 3, 3, lattice::Boundary::Open)},
-};
+INSTANTIATE_TEST_SUITE_P(Geometries, LatticeSweep,
+                         ::testing::Range<std::size_t>(0, std::size(kGeometries)),
+                         geometry_label);
 
 class LatticeBoundsSweep : public ::testing::TestWithParam<std::size_t> {};
 
@@ -93,7 +86,7 @@ TEST_P(LatticeBoundsSweep, GershgorinContainsSpectrum) {
 
 INSTANTIATE_TEST_SUITE_P(Geometries, LatticeBoundsSweep,
                          ::testing::Range<std::size_t>(0, std::size(kGeometries)),
-                         [](const auto& info) { return kGeometries[info.param].label; });
+                         geometry_label);
 
 // ---------------------------------------------------------------------------
 // Sweep 2: damping kernels preserve normalization.

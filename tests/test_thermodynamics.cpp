@@ -1,10 +1,15 @@
 // Tests for the thermodynamic observables (spectral averages from moments).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "common/error.hpp"
+#include "core/chebyshev.hpp"
 #include "core/ldos.hpp"
+#include "core/reconstruct.hpp"
 #include "core/thermodynamics.hpp"
 #include "diag/tridiag.hpp"
 #include "lattice/hamiltonian.hpp"
@@ -137,6 +142,55 @@ TEST(Thermo, RejectsBadInput) {
   q.points = 4;  // fewer than moments
   EXPECT_THROW((void)spectral_average(f.mu, f.transform, [](double) { return 1.0; }, q),
                kpm::Error);
+}
+
+/// spectral_average as it ran before batching: one scalar Clenshaw
+/// recurrence per Chebyshev-Gauss point, accumulated in grid order.
+double scalar_spectral_average(const std::vector<double>& mu,
+                               const linalg::SpectralTransform& transform,
+                               const std::function<double(double)>& f,
+                               const QuadratureOptions& options) {
+  const auto g = damping_coefficients(options.kernel, mu.size(), options.lorentz_lambda);
+  std::vector<double> damped(mu.size());
+  for (std::size_t k = 0; k < mu.size(); ++k) damped[k] = g[k] * mu[k];
+  double acc = 0.0;
+  for (double x : chebyshev_gauss_grid(options.points)) {
+    double b1 = 0.0, b2 = 0.0;
+    for (std::size_t k = damped.size(); k-- > 1;) {
+      const double b0 = 2.0 * damped[k] + 2.0 * x * b1 - b2;
+      b2 = b1;
+      b1 = b0;
+    }
+    const double gamma = damped[0] + x * b1 - b2;
+    acc += gamma * f(transform.to_physical(x));
+  }
+  return acc / static_cast<double>(options.points);
+}
+
+TEST(Thermo, SpectralAverageMatchesScalarClenshawBitwise) {
+  // Every kernel, moment count and tail length behind zero, one and two
+  // packed batches, then grids that span several of spectral_average's
+  // slices; the quadrature needs M >= N, so smaller grids are skipped.
+  const Fixture f(4, 256);
+  const auto energy_weight = [](double e) { return e * fermi_dirac(e, 0.3, 0.2); };
+  std::vector<std::size_t> point_counts;
+  for (std::size_t k = 1; k <= 2 * kDosGammaBatch + 1; ++k) point_counts.push_back(k);
+  point_counts.insert(point_counts.end(), {1024, 4097});
+  for (const DampingKernel kernel : {DampingKernel::Jackson, DampingKernel::Lorentz,
+                                     DampingKernel::Fejer, DampingKernel::Dirichlet}) {
+    for (const std::size_t n : {1u, 2u, 3u, 64u, 129u, 256u}) {
+      const std::vector<double> mu(f.mu.begin(), f.mu.begin() + static_cast<std::ptrdiff_t>(n));
+      for (const std::size_t m : point_counts) {
+        if (m < n) continue;
+        SCOPED_TRACE(std::string(to_string(kernel)) + " N=" + std::to_string(n) +
+                     " M=" + std::to_string(m));
+        const QuadratureOptions q{.kernel = kernel, .points = m};
+        const double batched = spectral_average(mu, f.transform, energy_weight, q);
+        const double scalar = scalar_spectral_average(mu, f.transform, energy_weight, q);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(batched), std::bit_cast<std::uint64_t>(scalar));
+      }
+    }
+  }
 }
 
 }  // namespace
