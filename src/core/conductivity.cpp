@@ -42,152 +42,74 @@ ConductivityMoments conductivity_moments(const linalg::MatrixOperator& h_tilde,
   //   w        = A^T psi_n = -A psi_n
   //   mu_nm   += <w | beta_m> / D     (sign folded below)
   const double dd = static_cast<double>(d);
-  const auto meter_h_spmv = [&] {
-    obs::meter_spmv(h_tilde.spmv_flops(), h_tilde.spmv_matrix_bytes(), d);
-  };
-  const auto meter_a_spmv = [&] {
-    obs::meter_spmv(a_current.spmv_flops(), a_current.spmv_matrix_bytes(), d);
-  };
   const auto meter_combine = [&](std::size_t b) {
     obs::add(obs::Counter::Flops, 2.0 * dd * static_cast<double>(b));
     obs::add(obs::Counter::BytesStreamed, 3.0 * dd * static_cast<double>(b) * sizeof(double));
   };
 
   const std::size_t block = params.block_r;
-  if (block <= 1) {
-    std::vector<double> r0(d), phi(d);
-    std::vector<double> beta(n * d);
-    std::vector<double> psi_prev2(d), psi_prev(d), psi_next(d), w(d);
+  // A group of b instances shares every H~ and A stream (both the stored
+  // beta recursion and the streamed psi recursion are SpMMV passes), and
+  // a single instance is a group of one.  Each mu cell accumulates member
+  // contributions in instance order, so the result does not depend on B.
+  std::vector<double> r0(d * block), phi(d * block);
+  std::vector<double> beta(n * d * block);
+  std::vector<double> psi_prev2(d * block), psi_prev(d * block), psi_next(d * block),
+      w(d * block);
 
-    auto beta_row = [&](std::size_t m) { return std::span<double>(beta).subspan(m * d, d); };
+  for (std::size_t first = 0; first < executed; first += block) {
+    const std::size_t b = std::min(block, executed - first);
+    const std::size_t len = d * b;
+    const auto sub = [len](std::vector<double>& v) { return std::span<double>(v.data(), len); };
+    auto beta_row = [&](std::size_t m) { return std::span<double>(beta).subspan(m * len, len); };
+    obs::add(obs::Counter::InstancesExecuted, static_cast<double>(b));
+    fill_random_vector_block(params, first, b, sub(r0));
+    linalg::spmmv_multiply(a_current, b, sub(r0), sub(phi));
 
-    for (std::size_t inst = 0; inst < executed; ++inst) {
-      obs::add(obs::Counter::InstancesExecuted, 1.0);
-      fill_random_vector(params, inst, r0);
-      a_current.multiply(r0, phi);
-      meter_a_spmv();
+    linalg::copy(sub(phi), beta_row(0));
+    obs::meter_stream_bytes(2.0 * static_cast<double>(len) * sizeof(double));
+    if (n > 1) linalg::spmmv_multiply(h_tilde, b, beta_row(0), beta_row(1));
+    for (std::size_t m = 2; m < n; ++m) {
+      linalg::spmmv_multiply(h_tilde, b, beta_row(m - 1), beta_row(m));
+      linalg::chebyshev_combine(beta_row(m), beta_row(m - 2), beta_row(m));
+      meter_combine(b);
+    }
 
-      // beta_0..beta_{N-1} by the standard recursion from |phi>.
-      linalg::copy(phi, beta_row(0));
-      obs::meter_stream_bytes(2.0 * dd * sizeof(double));
-      if (n > 1) {
-        h_tilde.multiply(beta_row(0), beta_row(1));
-        meter_h_spmv();
-      }
-      for (std::size_t m = 2; m < n; ++m) {
-        h_tilde.multiply(beta_row(m - 1), beta_row(m));
-        meter_h_spmv();
-        linalg::chebyshev_combine(beta_row(m), beta_row(m - 2), beta_row(m));
-        meter_combine(1);
-      }
-
-      // Stream psi_n, accumulating one row of mu per step.
-      // <r| T_n A T_m A |r> = (A^T psi_n) . beta_m = -(A psi_n) . beta_m, and
-      // mu^J_nm = -(1/D) Tr[T_n A T_m A], so the estimator of mu^J is
-      // +(A psi_n) . beta_m / D.
-      auto accumulate_row = [&](std::size_t row, std::span<const double> psi) {
-        a_current.multiply(psi, w);  // w = A psi
-        meter_a_spmv();
-        double* mu_row = result.mu.data() + row * n;
-        for (std::size_t m = 0; m < n; ++m) {
-          const auto b = beta_row(m);
+    auto accumulate_row = [&](std::size_t row, std::span<const double> psi) {
+      linalg::spmmv_multiply(a_current, b, psi, sub(w));  // w_j = A psi_j
+      double* mu_row = result.mu.data() + row * n;
+      for (std::size_t m = 0; m < n; ++m) {
+        const auto bm = beta_row(m);
+        // Per-member left fold over elements, then members added in
+        // instance order — the same addition sequence per mu cell as b
+        // consecutive scalar instances.
+        for (std::size_t j = 0; j < b; ++j) {
           double acc = 0.0;
-          for (std::size_t i = 0; i < d; ++i) acc += w[i] * b[i];
+          for (std::size_t i = 0; i < d; ++i) acc += w[i * b + j] * bm[i * b + j];
           mu_row[m] += acc;
         }
-        // One row of mu: N dot products against the stored beta block.
-        obs::add(obs::Counter::DotCalls, static_cast<double>(n));
-        obs::add(obs::Counter::Flops, 2.0 * dd * static_cast<double>(n));
-        obs::add(obs::Counter::BytesStreamed, 2.0 * dd * sizeof(double) * static_cast<double>(n));
-      };
+      }
+      obs::add(obs::Counter::DotCalls, static_cast<double>(n) * static_cast<double>(b));
+      obs::add(obs::Counter::Flops,
+               2.0 * dd * static_cast<double>(n) * static_cast<double>(b));
+      obs::add(obs::Counter::BytesStreamed,
+               2.0 * dd * sizeof(double) * static_cast<double>(n) * static_cast<double>(b));
+    };
 
-      linalg::copy(r0, psi_prev2);
-      obs::meter_stream_bytes(2.0 * dd * sizeof(double));
-      accumulate_row(0, psi_prev2);
-      if (n > 1) {
-        h_tilde.multiply(psi_prev2, psi_prev);
-        meter_h_spmv();
-        accumulate_row(1, psi_prev);
-      }
-      for (std::size_t k = 2; k < n; ++k) {
-        h_tilde.multiply(psi_prev, psi_next);
-        meter_h_spmv();
-        linalg::chebyshev_combine(psi_next, psi_prev2, psi_next);
-        meter_combine(1);
-        accumulate_row(k, psi_next);
-        std::swap(psi_prev2, psi_prev);
-        std::swap(psi_prev, psi_next);
-      }
+    linalg::copy(sub(r0), sub(psi_prev2));
+    obs::meter_stream_bytes(2.0 * static_cast<double>(len) * sizeof(double));
+    accumulate_row(0, sub(psi_prev2));
+    if (n > 1) {
+      linalg::spmmv_multiply(h_tilde, b, sub(psi_prev2), sub(psi_prev));
+      accumulate_row(1, sub(psi_prev));
     }
-  } else {
-    // Blocked path: a group of b instances shares every H~ and A stream
-    // (both the stored beta recursion and the streamed psi recursion are
-    // SpMMV passes).  Per-member arithmetic matches the scalar loop
-    // bit-for-bit, and each mu cell accumulates member contributions in
-    // instance order, so the result is independent of the block size.
-    std::vector<double> r0(d * block), phi(d * block);
-    std::vector<double> beta(n * d * block);
-    std::vector<double> psi_prev2(d * block), psi_prev(d * block), psi_next(d * block),
-        w(d * block);
-
-    for (std::size_t first = 0; first < executed; first += block) {
-      const std::size_t b = std::min(block, executed - first);
-      const std::size_t len = d * b;
-      const auto sub = [len](std::vector<double>& v) {
-        return std::span<double>(v.data(), len);
-      };
-      auto beta_row = [&](std::size_t m) {
-        return std::span<double>(beta).subspan(m * len, len);
-      };
-      obs::add(obs::Counter::InstancesExecuted, static_cast<double>(b));
-      fill_random_vector_block(params, first, b, sub(r0));
-      linalg::spmmv_multiply(a_current, b, sub(r0), sub(phi));
-
-      linalg::copy(sub(phi), beta_row(0));
-      obs::meter_stream_bytes(2.0 * static_cast<double>(len) * sizeof(double));
-      if (n > 1) linalg::spmmv_multiply(h_tilde, b, beta_row(0), beta_row(1));
-      for (std::size_t m = 2; m < n; ++m) {
-        linalg::spmmv_multiply(h_tilde, b, beta_row(m - 1), beta_row(m));
-        linalg::chebyshev_combine(beta_row(m), beta_row(m - 2), beta_row(m));
-        meter_combine(b);
-      }
-
-      auto accumulate_row = [&](std::size_t row, std::span<const double> psi) {
-        linalg::spmmv_multiply(a_current, b, psi, sub(w));  // w_j = A psi_j
-        double* mu_row = result.mu.data() + row * n;
-        for (std::size_t m = 0; m < n; ++m) {
-          const auto bm = beta_row(m);
-          // Per-member left fold over elements, then members added in
-          // instance order — the same addition sequence per mu cell as b
-          // consecutive scalar instances.
-          for (std::size_t j = 0; j < b; ++j) {
-            double acc = 0.0;
-            for (std::size_t i = 0; i < d; ++i) acc += w[i * b + j] * bm[i * b + j];
-            mu_row[m] += acc;
-          }
-        }
-        obs::add(obs::Counter::DotCalls, static_cast<double>(n) * static_cast<double>(b));
-        obs::add(obs::Counter::Flops,
-                 2.0 * dd * static_cast<double>(n) * static_cast<double>(b));
-        obs::add(obs::Counter::BytesStreamed,
-                 2.0 * dd * sizeof(double) * static_cast<double>(n) * static_cast<double>(b));
-      };
-
-      linalg::copy(sub(r0), sub(psi_prev2));
-      obs::meter_stream_bytes(2.0 * static_cast<double>(len) * sizeof(double));
-      accumulate_row(0, sub(psi_prev2));
-      if (n > 1) {
-        linalg::spmmv_multiply(h_tilde, b, sub(psi_prev2), sub(psi_prev));
-        accumulate_row(1, sub(psi_prev));
-      }
-      for (std::size_t k = 2; k < n; ++k) {
-        linalg::spmmv_multiply(h_tilde, b, sub(psi_prev), sub(psi_next));
-        linalg::chebyshev_combine(sub(psi_next), sub(psi_prev2), sub(psi_next));
-        meter_combine(b);
-        accumulate_row(k, sub(psi_next));
-        std::swap(psi_prev2, psi_prev);
-        std::swap(psi_prev, psi_next);
-      }
+    for (std::size_t k = 2; k < n; ++k) {
+      linalg::spmmv_multiply(h_tilde, b, sub(psi_prev), sub(psi_next));
+      linalg::chebyshev_combine(sub(psi_next), sub(psi_prev2), sub(psi_next));
+      meter_combine(b);
+      accumulate_row(k, sub(psi_next));
+      std::swap(psi_prev2, psi_prev);
+      std::swap(psi_prev, psi_next);
     }
   }
 

@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/moments_cpu.hpp"
-#include "linalg/fused_kernels.hpp"
-#include "linalg/vector_ops.hpp"
 
 namespace kpm::core {
 
@@ -20,64 +16,22 @@ MomentStatistics estimate_moment_statistics(const linalg::MatrixOperator& h_tild
   const std::size_t d = h_tilde.dim();
   const std::size_t n = params.num_moments;
 
-  // Per-instance normalized moments: mu_n^(k) = <r0|r_n> / D.
+  // Per-instance normalized moments mu_n^(k) = <r0|r_n> / D, from the
+  // reference engines' own group recursion (and metered like it); the
+  // accumulation below runs in instance order, so blocking changes nothing.
   std::vector<double> sum(n, 0.0), sum_sq(n, 0.0);
   const std::size_t block = params.block_r;
-
-  if (block <= 1) {
-    std::vector<double> r0(d), r_prev2(d), r_prev(d), r_next(d), mu_inst(n);
-    for (std::size_t inst = 0; inst < instances; ++inst) {
-      fill_random_vector(params, inst, r0);
-      mu_inst[0] = linalg::dot(r0, r0);
-      h_tilde.multiply(r0, r_prev);
-      if (n > 1) mu_inst[1] = linalg::dot(r0, r_prev);
-      linalg::copy(r0, r_prev2);
-      for (std::size_t k = 2; k < n; ++k) {
-        mu_inst[k] = linalg::spmv_combine_dot(h_tilde, r_prev, r_prev2, r0, r_next);
-        std::swap(r_prev2, r_prev);
-        std::swap(r_prev, r_next);
-      }
+  GroupWorkspace ws(d, block);
+  std::vector<double> mu_rows(block * n);
+  for (std::size_t first = 0; first < instances; first += block) {
+    const std::size_t b = std::min(block, instances - first);
+    std::fill(mu_rows.begin(), mu_rows.end(), 0.0);
+    accumulate_group(h_tilde, params, first, b, ws, mu_rows);
+    for (std::size_t j = 0; j < b; ++j) {
       for (std::size_t k = 0; k < n; ++k) {
-        const double v = mu_inst[k] / static_cast<double>(d);
+        const double v = mu_rows[j * n + k] / static_cast<double>(d);
         sum[k] += v;
         sum_sq[k] += v * v;
-      }
-    }
-  } else {
-    // Blocked recursion: each member's mu_inst row is bit-identical to the
-    // per-vector loop above, and the normalization/accumulation below runs
-    // in instance order, so the statistics are unchanged by blocking.
-    std::vector<double> r0(d * block), r_prev2(d * block), r_prev(d * block),
-        r_next(d * block), dots(block), mu_rows(block * n);
-    for (std::size_t first = 0; first < instances; first += block) {
-      const std::size_t b = std::min(block, instances - first);
-      const std::size_t len = d * b;
-      const auto sub = [len](std::vector<double>& v) {
-        return std::span<double>(v.data(), len);
-      };
-      const std::span<double> dv(dots.data(), b);
-      fill_random_vector_block(params, first, b, sub(r0));
-      linalg::block_dot(sub(r0), sub(r0), b, dv);
-      for (std::size_t j = 0; j < b; ++j) mu_rows[j * n] = dv[j];
-      linalg::spmmv_multiply(h_tilde, b, sub(r0), sub(r_prev));
-      if (n > 1) {
-        linalg::block_dot(sub(r0), sub(r_prev), b, dv);
-        for (std::size_t j = 0; j < b; ++j) mu_rows[j * n + 1] = dv[j];
-      }
-      std::copy(r0.begin(), r0.begin() + static_cast<std::ptrdiff_t>(len), r_prev2.begin());
-      for (std::size_t k = 2; k < n; ++k) {
-        linalg::spmmv_combine_dot(h_tilde, b, sub(r_prev), sub(r_prev2), sub(r0),
-                                  sub(r_next), dv);
-        for (std::size_t j = 0; j < b; ++j) mu_rows[j * n + k] = dv[j];
-        std::swap(r_prev2, r_prev);
-        std::swap(r_prev, r_next);
-      }
-      for (std::size_t j = 0; j < b; ++j) {
-        for (std::size_t k = 0; k < n; ++k) {
-          const double v = mu_rows[j * n + k] / static_cast<double>(d);
-          sum[k] += v;
-          sum_sq[k] += v * v;
-        }
       }
     }
   }

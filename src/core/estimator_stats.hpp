@@ -22,9 +22,10 @@ struct MomentStatistics {
   std::size_t instances = 0;
 };
 
-/// Runs `instances` independent single-instance moment computations on the
-/// CPU reference path and reports per-moment statistics.  Intended for
-/// small exploratory runs (cost = instances full recursions).
+/// Runs instances [0, `instances`) through the CPU reference engines' group
+/// recursion (groups of params.block_r, metered like the engines) and
+/// reports per-moment statistics across them.  Intended for small
+/// exploratory runs (cost = instances full recursions).
 [[nodiscard]] MomentStatistics estimate_moment_statistics(const linalg::MatrixOperator& h_tilde,
                                                           const MomentParams& params,
                                                           std::size_t instances);

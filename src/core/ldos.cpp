@@ -5,37 +5,48 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/moments_cpu.hpp"
 #include "linalg/fused_kernels.hpp"
-#include "linalg/vector_ops.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 
 namespace kpm::core {
 namespace {
 
-/// One Chebyshev recursion from start vector `r0`, accumulating
-/// mu_n += <r0|r_n> into `mu_acc`.  Counted as one instance: a unit start
-/// vector plays the role a random vector plays in the stochastic engines.
-void accumulate_recursion_moments(const linalg::MatrixOperator& h, std::span<const double> r0,
-                                  std::span<double> mu_acc) {
+/// Runs the Chebyshev recursions from the unit vectors of sites [first,
+/// first + b) as one blocked group, adding member j's <e_j|r_k> into
+/// mu_rows[j*n + k].  Each start vector counts as one instance, the role a
+/// random vector plays in the stochastic engines; one site is a group of one.
+void accumulate_site_group(const linalg::MatrixOperator& h, std::size_t first, std::size_t b,
+                           GroupWorkspace& ws, std::size_t n, std::span<double> mu_rows) {
   const std::size_t d = h.dim();
-  const std::size_t n = mu_acc.size();
-  std::vector<double> r_prev2(r0.begin(), r0.end());
-  std::vector<double> r_prev(d), r_next(d);
-  obs::add(obs::Counter::InstancesExecuted, 1.0);
-  obs::meter_stream_bytes(2.0 * static_cast<double>(d) * sizeof(double));  // r_prev2 copy
+  const std::size_t len = d * b;
+  const auto sub = [len](std::vector<double>& v) { return std::span<double>(v.data(), len); };
+  const std::span<double> dv(ws.dots.data(), b);
+  std::fill(ws.r0.begin(), ws.r0.begin() + static_cast<std::ptrdiff_t>(len), 0.0);
+  for (std::size_t j = 0; j < b; ++j) ws.r0[(first + j) * b + j] = 1.0;
 
-  mu_acc[0] += linalg::dot(r0, r0);
-  obs::meter_dot(d);
+  obs::add(obs::Counter::InstancesExecuted, static_cast<double>(b));
+  std::copy(ws.r0.begin(), ws.r0.begin() + static_cast<std::ptrdiff_t>(len), ws.r_prev2.begin());
+  obs::meter_stream_bytes(2.0 * static_cast<double>(len) * sizeof(double));
+  linalg::block_dot(sub(ws.r0), sub(ws.r0), b, dv);
+  for (std::size_t j = 0; j < b; ++j) {
+    mu_rows[j * n] += dv[j];
+    obs::meter_dot(d);
+  }
   if (n == 1) return;
-  h.multiply(r0, r_prev);
-  obs::meter_spmv(h.spmv_flops(), h.spmv_matrix_bytes(), d);
-  mu_acc[1] += linalg::dot(r0, r_prev);
-  obs::meter_dot(d);
+  linalg::spmmv_multiply(h, b, sub(ws.r0), sub(ws.r_prev));
+  linalg::block_dot(sub(ws.r0), sub(ws.r_prev), b, dv);
+  for (std::size_t j = 0; j < b; ++j) {
+    mu_rows[j * n + 1] += dv[j];
+    obs::meter_dot(d);
+  }
   for (std::size_t k = 2; k < n; ++k) {
-    mu_acc[k] += linalg::spmv_combine_dot(h, r_prev, r_prev2, r0, r_next);
-    std::swap(r_prev2, r_prev);
-    std::swap(r_prev, r_next);
+    linalg::spmmv_combine_dot(h, b, sub(ws.r_prev), sub(ws.r_prev2), sub(ws.r0), sub(ws.r_next),
+                              dv);
+    for (std::size_t j = 0; j < b; ++j) mu_rows[j * n + k] += dv[j];
+    std::swap(ws.r_prev2, ws.r_prev);
+    std::swap(ws.r_prev, ws.r_next);
   }
 }
 
@@ -47,10 +58,9 @@ std::vector<double> ldos_moments(const linalg::MatrixOperator& h_tilde, std::siz
   KPM_REQUIRE(num_moments >= 1, "ldos_moments: need at least one moment");
   obs::ScopedSpan span("ldos.moments");
   obs::add(obs::Counter::MomentsProduced, static_cast<double>(num_moments));
-  std::vector<double> e(h_tilde.dim(), 0.0);
-  e[site] = 1.0;
+  GroupWorkspace ws(h_tilde.dim(), 1);
   std::vector<double> mu(num_moments, 0.0);
-  accumulate_recursion_moments(h_tilde, e, mu);
+  accumulate_site_group(h_tilde, site, 1, ws, num_moments, mu);
   return mu;
 }
 
@@ -70,57 +80,17 @@ std::vector<double> deterministic_trace_moments(const linalg::MatrixOperator& h_
   const std::size_t d = h_tilde.dim();
   const std::size_t n = num_moments;
   std::vector<double> mu(n, 0.0);
-  if (block <= 1) {
-    std::vector<double> e(d, 0.0);
-    for (std::size_t site = 0; site < d; ++site) {
-      e.assign(d, 0.0);
-      e[site] = 1.0;
-      accumulate_recursion_moments(h_tilde, e, mu);
-    }
-  } else {
-    // Blocked basis sweep: `block` unit vectors share each matrix stream.
-    // Member rows are summed in site order, so the result is bit-identical
-    // to the per-vector sweep.
-    std::vector<double> e(d * block), r_prev2(d * block), r_prev(d * block),
-        r_next(d * block), dots(block), rows(block * n);
-    for (std::size_t first = 0; first < d; first += block) {
-      const std::size_t b = std::min(block, d - first);
-      const std::size_t len = d * b;
-      const auto sub = [len](std::vector<double>& v) {
-        return std::span<double>(v.data(), len);
-      };
-      const std::span<double> dv(dots.data(), b);
-      std::fill(e.begin(), e.begin() + static_cast<std::ptrdiff_t>(len), 0.0);
-      for (std::size_t j = 0; j < b; ++j) e[(first + j) * b + j] = 1.0;
-      std::fill(rows.begin(), rows.end(), 0.0);
-
-      obs::add(obs::Counter::InstancesExecuted, static_cast<double>(b));
-      std::copy(e.begin(), e.begin() + static_cast<std::ptrdiff_t>(len), r_prev2.begin());
-      obs::meter_stream_bytes(2.0 * static_cast<double>(len) * sizeof(double));
-      linalg::block_dot(sub(e), sub(e), b, dv);
-      for (std::size_t j = 0; j < b; ++j) {
-        rows[j * n] += dv[j];
-        obs::meter_dot(d);
-      }
-      if (n > 1) {
-        linalg::spmmv_multiply(h_tilde, b, sub(e), sub(r_prev));
-        linalg::block_dot(sub(e), sub(r_prev), b, dv);
-        for (std::size_t j = 0; j < b; ++j) {
-          rows[j * n + 1] += dv[j];
-          obs::meter_dot(d);
-        }
-        for (std::size_t k = 2; k < n; ++k) {
-          linalg::spmmv_combine_dot(h_tilde, b, sub(r_prev), sub(r_prev2), sub(e),
-                                    sub(r_next), dv);
-          for (std::size_t j = 0; j < b; ++j) rows[j * n + k] += dv[j];
-          std::swap(r_prev2, r_prev);
-          std::swap(r_prev, r_next);
-        }
-      }
-      for (std::size_t j = 0; j < b; ++j) {
-        const double* row = rows.data() + j * n;
-        for (std::size_t k = 0; k < n; ++k) mu[k] += row[k];
-      }
+  // Basis sweep: `block` unit vectors share each matrix stream.  Member rows
+  // are summed in site order, so the result does not depend on B.
+  GroupWorkspace ws(d, block);
+  std::vector<double> rows(block * n);
+  for (std::size_t first = 0; first < d; first += block) {
+    const std::size_t b = std::min(block, d - first);
+    std::fill(rows.begin(), rows.end(), 0.0);
+    accumulate_site_group(h_tilde, first, b, ws, n, rows);
+    for (std::size_t j = 0; j < b; ++j) {
+      const double* row = rows.data() + j * n;
+      for (std::size_t k = 0; k < n; ++k) mu[k] += row[k];
     }
   }
   for (double& m : mu) m /= static_cast<double>(d);

@@ -186,28 +186,6 @@ void fill_sharded_block(const linalg::ShardedMatrix& sm, const MomentParams& par
            static_cast<double>(sm.dim()) * static_cast<double>(b));
 }
 
-/// Serial-reference per-instance modeled ticks (Core i7-930, like every
-/// other engine) — deliberately independent of node specs, P and threads,
-/// so histograms are invariant across every cluster configuration.
-std::uint64_t cluster_instance_ticks(const linalg::MatrixOperator& op, std::size_t n,
-                                     std::size_t block) {
-  const cpumodel::CpuSpec spec = cpumodel::CpuSpec::core_i7_930();
-  if (block <= 1)
-    return obs::seconds_to_ns_ticks(modeled_reference_seconds(op, n, 1, spec));
-  // Rebuild moments_cpu's blocked group workload: fill + mu~0/mu~1 dots +
-  // copy, then (n - 1) fused steps with the matrix amortized over the block.
-  const auto dd = static_cast<double>(op.dim());
-  const auto bb = static_cast<double>(block);
-  const cpumodel::CpuWorkload per_step = fused_step_workload(op, /*dots=*/1, block);
-  cpumodel::CpuWorkload w;
-  w.flops = (10.0 * dd + 2.0 * dd) * bb;
-  w.bytes_streamed = 2.0 * dd * sizeof(double) * bb;
-  w.working_set_bytes = per_step.working_set_bytes;
-  for (std::size_t k = 1; k < n; ++k) w += per_step;
-  return obs::seconds_to_ns_ticks(cpumodel::model_cpu_time(spec, w).seconds /
-                                  static_cast<double>(block));
-}
-
 // ---------------------------------------------------------------------------
 // Cost model.  Shard compute is priced per node (CPU roofline or gpusim
 // kernel model); each recursion step overlaps the halo transfer with the
@@ -443,8 +421,7 @@ MomentResult ClusterMomentEngine::compute(const linalg::MatrixOperator& h_tilde,
   const linalg::ShardedMatrix sm(h_tilde, dec, shard_storage);
 
   const std::size_t block = params.block_r;
-  const std::size_t eff_block = block <= 1 ? 1 : block;
-  const std::size_t groups = (executed + eff_block - 1) / eff_block;
+  const std::size_t groups = (executed + block - 1) / block;
 
   // Stable span name (no node/thread suffix): deterministic fingerprints of
   // a fixed decomposition must not depend on the host thread count.
@@ -453,11 +430,15 @@ MomentResult ClusterMomentEngine::compute(const linalg::MatrixOperator& h_tilde,
   Stopwatch wall;
   std::vector<double> mu_sum(n, 0.0);
   const bool serial_path = config_.threads == 1 || groups == 1;
-  const std::uint64_t instance_ticks = cluster_instance_ticks(h_tilde, n, block);
+  // Serial-reference per-instance modeled ticks (Core i7-930, like every
+  // other engine): independent of node specs, P and threads, so histograms
+  // are invariant across every cluster configuration.
+  const std::uint64_t instance_ticks =
+      modeled_instance_ticks(cpumodel::CpuSpec::core_i7_930(), h_tilde, n, block);
 
   const auto run_group = [&](std::size_t g, ShardWorkspace& ws, std::span<double> rows) {
-    const std::size_t first = g * eff_block;
-    const std::size_t b = std::min(eff_block, executed - first);
+    const std::size_t first = g * block;
+    const std::size_t b = std::min(block, executed - first);
     accumulate_sharded_group(
         sm, h_tilde, b,
         [&](std::vector<std::vector<double>>& r0) {
@@ -468,12 +449,12 @@ MomentResult ClusterMomentEngine::compute(const linalg::MatrixOperator& h_tilde,
   };
 
   if (serial_path) {
-    ShardWorkspace ws(sm, eff_block);
-    std::vector<double> rows(eff_block * n);
+    ShardWorkspace ws(sm, block);
+    std::vector<double> rows(block * n);
     for (std::size_t g = 0; g < groups; ++g) {
       std::fill(rows.begin(), rows.end(), 0.0);
       run_group(g, ws, rows);
-      const std::size_t b = std::min(eff_block, executed - g * eff_block);
+      const std::size_t b = std::min(block, executed - g * block);
       for (std::size_t j = 0; j < b; ++j) {
         const double* row = rows.data() + j * n;
         for (std::size_t k = 0; k < n; ++k) mu_sum[k] += row[k];
@@ -487,11 +468,11 @@ MomentResult ClusterMomentEngine::compute(const linalg::MatrixOperator& h_tilde,
     std::vector<double> contributions(executed * n, 0.0);
     obs::sharded_parallel_for(
         *pool_, groups, [&](std::size_t /*lane*/, std::size_t begin, std::size_t end) {
-          ShardWorkspace ws(sm, eff_block);
+          ShardWorkspace ws(sm, block);
           const std::span<double> rows(contributions);
           for (std::size_t g = begin; g < end; ++g) {
-            const std::size_t first = g * eff_block;
-            const std::size_t b = std::min(eff_block, executed - first);
+            const std::size_t first = g * block;
+            const std::size_t b = std::min(block, executed - first);
             run_group(g, ws, rows.subspan(first * n, b * n));
           }
         });
@@ -513,9 +494,9 @@ MomentResult ClusterMomentEngine::compute(const linalg::MatrixOperator& h_tilde,
 
   // Cost model, extrapolated to all `total` instances: full groups of
   // `block` plus one ragged group.
-  const std::size_t full = total / eff_block;
-  const std::size_t rem = total % eff_block;
-  const GroupCost gc = group_cost(sm, specs, config_.link, n, eff_block);
+  const std::size_t full = total / block;
+  const std::size_t rem = total % block;
+  const GroupCost gc = group_cost(sm, specs, config_.link, n, block);
   scaling_ = ClusterScalingReport{};
   scaling_.nodes = sm.nodes();
   const auto add_groups = [&](const GroupCost& g, double count) {
@@ -542,7 +523,7 @@ MomentResult ClusterMomentEngine::compute(const linalg::MatrixOperator& h_tilde,
   result.compute_seconds = result.model_seconds - result.transfer_seconds;
 
   emit_node_timelines(name(), sm, specs, full > 0 ? gc : group_cost(sm, specs, config_.link, n, rem),
-                      n, full > 0 ? eff_block : rem);
+                      n, full > 0 ? block : rem);
   return result;
 }
 

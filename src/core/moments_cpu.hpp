@@ -7,6 +7,13 @@
 // counts drive the Core i7-930 roofline model that stands in for the
 // paper's measured CPU times.
 //
+// Every CPU engine runs its instances in groups of B = MomentParams::block_r
+// through the blocked (SpMMV) kernels, one matrix stream per group step; a
+// single instance is a group of one, and there is no separate per-vector
+// loop.  `CpuMomentEngine` and `CpuParallelMomentEngine` share one group
+// driver, built on accumulate_group below, and differ only in name, trace
+// span and serial vs parallel roofline.
+//
 // `CpuPairedMomentEngine` implements the standard KPM optimization (Weisse
 // et al. §II.D, the paper's Ref. [10]) of extracting two moments per matrix
 // -vector product via
@@ -16,7 +23,10 @@
 // `ablation_moment_pairs` bench quantifies.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "cpumodel/cpu_spec.hpp"
 #include "cpumodel/roofline.hpp"
@@ -61,11 +71,11 @@ class CpuPairedMomentEngine final : public MomentEngine {
 /// Multithreaded CPU engine — the paper's §V "shared memory paradigm"
 /// future work, executed for real.  The three-term recursion itself is
 /// sequential (the fine-grain parallelization problem the paper
-/// describes), so this engine statically partitions the S*R independent
-/// instances across a kpm::common::ThreadPool.  Each instance writes its
-/// mu~ contributions to a private row which the calling thread then sums
-/// in instance order, so the result is BIT-IDENTICAL to the serial
-/// reference for any thread count (see docs/performance.md).
+/// describes), so this engine statically partitions the groups of B
+/// independent instances across a kpm::common::ThreadPool.  Each instance
+/// writes its mu~ contributions to a private row which the calling thread
+/// then sums in instance order, so the result is BIT-IDENTICAL to the
+/// serial reference for any thread count (see docs/performance.md).
 /// `wall_seconds` measures the actual multithreaded run; the roofline
 /// model additionally scales compute with cores and saturates shared
 /// bandwidth, exposing why the 2011 answer was "buy a GPU" rather than
@@ -110,6 +120,24 @@ void fill_random_vector_block(const MomentParams& params, std::uint64_t first_st
 /// total) and requires total > 0.
 [[nodiscard]] std::size_t resolve_sample_count(std::size_t sample, std::size_t total);
 
+/// Vectors of one instance group's recursion: `block` interleaved members
+/// (a ragged last group of b < block uses the length dim * b prefixes).
+struct GroupWorkspace {
+  std::vector<double> r0, r_prev2, r_prev, r_next, dots;
+  GroupWorkspace(std::size_t dim, std::size_t block);
+};
+
+/// Runs instances [first, first + b), b <= the workspace's block, as one
+/// blocked recursion — steps (1), (2), (2.1), (2.2) of the paper's Fig. 3 —
+/// adding member j's mu~ contributions into mu_rows[j*N, j*N + N), N =
+/// params.num_moments.  This is the one recursion of the reference engines
+/// and of estimate_moment_statistics, and it meters everything it runs:
+/// instances, RNG elements, dots and kernel passes.  Member j draws RNG
+/// stream first + j, so no result depends on the grouping or the thread.
+void accumulate_group(const linalg::MatrixOperator& h_tilde, const MomentParams& params,
+                      std::size_t first, std::size_t b, GroupWorkspace& ws,
+                      std::span<double> mu_rows);
+
 /// Roofline workload of ONE fused recursion step (SpMV + Chebyshev combine
 /// + `dots` fused dot products) — the 4D-doubles/step vector-traffic model
 /// the engines charge per step.  The fused kernels record exactly this
@@ -128,5 +156,29 @@ void fill_random_vector_block(const MomentParams& params, std::uint64_t first_st
 [[nodiscard]] double modeled_reference_seconds(
     const linalg::MatrixOperator& op, std::size_t num_moments, std::size_t instances,
     const cpumodel::CpuSpec& spec = cpumodel::CpuSpec::core_i7_930());
+
+/// Modeled serial ns ticks of ONE instance run in groups of `block`: one
+/// full group's modeled time split evenly across its members.  The value
+/// every CPU-family engine records into Histo::InstanceModelNs, at any
+/// thread or node count.
+[[nodiscard]] std::uint64_t modeled_instance_ticks(const cpumodel::CpuSpec& spec,
+                                                   const linalg::MatrixOperator& op,
+                                                   std::size_t num_moments, std::size_t block);
+
+/// Roofline workload of `total` instances run in groups of `block`: total /
+/// block full groups, whose per-pass working set is one group's, plus one
+/// ragged group of the remainder.  `group_work(b)` is one group of b.
+template <typename GroupWork>
+[[nodiscard]] cpumodel::CpuWorkload grouped_workload(std::size_t total, std::size_t block,
+                                                     GroupWork&& group_work) {
+  const std::size_t full = total / block;
+  const std::size_t rem = total % block;
+  cpumodel::CpuWorkload w = group_work(block);
+  const double ws_bytes = w.working_set_bytes;
+  w.scale(static_cast<double>(full));
+  w.working_set_bytes = full > 0 ? ws_bytes : 0.0;
+  if (rem > 0) w += group_work(rem);
+  return w;
+}
 
 }  // namespace kpm::core

@@ -15,68 +15,14 @@
 namespace kpm::core {
 namespace {
 
-/// y = A x in pure float arithmetic (A's doubles are narrowed once here;
-/// a real SP port would store the matrix in float to begin with).
-void spmv_f32(const linalg::MatrixOperator& op, const std::vector<float>& x,
-              std::vector<float>& y) {
-  const std::size_t dim = op.dim();
-  if (op.storage() == linalg::Storage::Dense) {
-    const auto& m = *op.dense();
-    for (std::size_t r = 0; r < dim; ++r) {
-      float acc = 0.0f;
-      const auto row = m.row(r);
-      for (std::size_t c = 0; c < dim; ++c) acc += static_cast<float>(row[c]) * x[c];
-      y[r] = acc;
-    }
-  } else if (op.storage() == linalg::Storage::Crs) {
-    const auto& m = *op.crs();
-    const auto row_ptr = m.row_ptr();
-    const auto col_idx = m.col_idx();
-    const auto values = m.values();
-    for (std::size_t r = 0; r < dim; ++r) {
-      float acc = 0.0f;
-      for (auto k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-        const auto kk = static_cast<std::size_t>(k);
-        acc += static_cast<float>(values[kk]) * x[static_cast<std::size_t>(col_idx[kk])];
-      }
-      y[r] = acc;
-    }
-  } else {
-    // SELL-C-sigma: logical row order via slot_of, per-row entry order
-    // matching CRS, so the float accumulation is bit-identical to CRS.
-    const auto& m = *op.sell();
-    const auto chunk_ptr = m.chunk_ptr();
-    const auto row_len = m.row_len();
-    const auto slot_of = m.slot_of();
-    const auto col_idx = m.col_idx();
-    const auto values = m.values();
-    const std::size_t c_sz = m.chunk_size();
-    for (std::size_t r = 0; r < dim; ++r) {
-      const auto slot = static_cast<std::size_t>(slot_of[r]);
-      const auto base = static_cast<std::size_t>(chunk_ptr[slot / c_sz]);
-      const std::size_t lane = slot % c_sz;
-      float acc = 0.0f;
-      for (std::size_t j = 0; j < static_cast<std::size_t>(row_len[slot]); ++j) {
-        const std::size_t k = base + j * c_sz + lane;
-        acc += static_cast<float>(values[k]) * x[static_cast<std::size_t>(col_idx[k])];
-      }
-      y[r] = acc;
-    }
-  }
-}
-
-float dot_f32(const std::vector<float>& a, const std::vector<float>& b) {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-/// Blocked y_j = A x_j in float on the interleaved block layout; each
-/// member's per-row accumulation matches spmv_f32 bit-for-bit.
+/// Blocked y_j = A x_j in pure float arithmetic on the interleaved block
+/// layout (A's doubles are narrowed once per entry here; a real SP port
+/// would store the matrix in float to begin with).  Each member accumulates
+/// its row in entry order from 0.0f.  `acc` is caller-owned scratch of
+/// `block` floats, reused across steps.
 void spmmv_f32(const linalg::MatrixOperator& op, std::size_t block,
-               const std::vector<float>& x, std::vector<float>& y) {
+               const std::vector<float>& x, std::vector<float>& y, std::vector<float>& acc) {
   const std::size_t dim = op.dim();
-  std::vector<float> acc(block);
   const auto row_block = [&](std::size_t r, auto&& each_entry) {
     std::fill(acc.begin(), acc.end(), 0.0f);
     each_entry();
@@ -128,8 +74,7 @@ void spmmv_f32(const linalg::MatrixOperator& op, std::size_t block,
   }
 }
 
-/// Per-member left-fold float dots of two interleaved blocks, matching
-/// dot_f32 on the deinterleaved vectors bit-for-bit.
+/// Per-member left-fold float dots of two interleaved blocks.
 void block_dot_f32(const std::vector<float>& a, const std::vector<float>& b,
                    std::size_t block, std::size_t dim, std::vector<float>& dots) {
   std::fill(dots.begin(), dots.end(), 0.0f);
@@ -159,7 +104,6 @@ MomentResult CpuMomentEngineF32::compute(const linalg::MatrixOperator& h_tilde,
   obs::add(obs::Counter::MomentsProduced, static_cast<double>(n));
   Stopwatch wall;
   std::vector<double> mu_sum(n, 0.0);  // cross-instance reduction in double
-  std::vector<float> r0(d), r_prev2(d), r_prev(d), r_next(d);
 
   // Per-call obs meters in binary32: 4-byte vector elements, half the
   // matrix traffic of the double engines, identical flop counts.
@@ -171,114 +115,74 @@ MomentResult CpuMomentEngineF32::compute(const linalg::MatrixOperator& h_tilde,
     obs::add(obs::Counter::Flops, 2.0 * dd_obs);
     obs::add(obs::Counter::BytesStreamed, 2.0 * dd_obs * sizeof(float));
   };
-  const auto meter_spmv32 = [&] {
-    obs::add(obs::Counter::SpmvCalls, 1.0);
-    obs::add(obs::Counter::Flops, spmv_flops);
-    obs::add(obs::Counter::BytesStreamed, matrix_bytes_f32 + 2.0 * dd_obs * sizeof(float));
+  const auto meter_spmmv32 = [&](std::size_t b) {
+    obs::add(obs::Counter::SpmvCalls, static_cast<double>(b));
+    obs::add(obs::Counter::Flops, static_cast<double>(b) * spmv_flops);
+    obs::add(obs::Counter::BytesStreamed,
+             matrix_bytes_f32 + 2.0 * static_cast<double>(b) * dd_obs * sizeof(float));
   };
 
+  // A group of `b` instances advances through one unfused recursion; the
+  // matrix is narrowed/streamed once per step for the whole group, and a
+  // single instance is a group of one.  Member rows are summed in instance
+  // order after each group, so the moments do not depend on B.
   const std::size_t block = params.block_r;
-  if (block <= 1) {
-    for (std::size_t inst = 0; inst < executed; ++inst) {
-      obs::add(obs::Counter::InstancesExecuted, 1.0);
-      obs::add(obs::Counter::RngElements, dd_obs);
+  std::vector<float> b0(d * block), b_prev2(d * block), b_prev(d * block), b_next(d * block),
+      dots(block), acc(block);
+  std::vector<double> rows(block * n);
+  const std::size_t groups = (executed + block - 1) / block;
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::size_t first = g * block;
+    const std::size_t b = std::min(block, executed - first);
+    b0.resize(d * b);
+    b_prev2.resize(d * b);
+    b_prev.resize(d * b);
+    b_next.resize(d * b);
+    dots.resize(b);
+    acc.resize(b);
+    std::fill(rows.begin(), rows.end(), 0.0);
+    obs::add(obs::Counter::InstancesExecuted, static_cast<double>(b));
+    obs::add(obs::Counter::RngElements, static_cast<double>(b) * dd_obs);
+    for (std::size_t j = 0; j < b; ++j)
       for (std::size_t i = 0; i < d; ++i)
-        r0[i] = static_cast<float>(
-            rng::draw_random_element(params.vector_kind, params.seed, inst, i));
+        b0[i * b + j] = static_cast<float>(
+            rng::draw_random_element(params.vector_kind, params.seed, first + j, i));
 
-      mu_sum[0] += static_cast<double>(dot_f32(r0, r0));
+    block_dot_f32(b0, b0, b, d, dots);
+    for (std::size_t j = 0; j < b; ++j) {
+      rows[j * n] += static_cast<double>(dots[j]);
       meter_dot32();
-      spmv_f32(h_tilde, r0, r_prev);
-      meter_spmv32();
-      if (n > 1) {
-        mu_sum[1] += static_cast<double>(dot_f32(r0, r_prev));
+    }
+    spmmv_f32(h_tilde, b, b0, b_prev, acc);
+    meter_spmmv32(b);
+    if (n > 1) {
+      block_dot_f32(b0, b_prev, b, d, dots);
+      for (std::size_t j = 0; j < b; ++j) {
+        rows[j * n + 1] += static_cast<double>(dots[j]);
         meter_dot32();
-      }
-      r_prev2 = r0;
-      obs::add(obs::Counter::BytesStreamed, 2.0 * dd_obs * sizeof(float));
-
-      for (std::size_t k = 2; k < n; ++k) {
-        spmv_f32(h_tilde, r_prev, r_next);
-        meter_spmv32();
-        for (std::size_t i = 0; i < d; ++i) r_next[i] = 2.0f * r_next[i] - r_prev2[i];
-        obs::add(obs::Counter::Flops, 2.0 * dd_obs);
-        obs::add(obs::Counter::BytesStreamed, 3.0 * dd_obs * sizeof(float));
-        mu_sum[k] += static_cast<double>(dot_f32(r0, r_next));
-        meter_dot32();
-        std::swap(r_prev2, r_prev);
-        std::swap(r_prev, r_next);
       }
     }
-  } else {
-    // Blocked (SpMMV) path: a group of `b` instances advances through one
-    // unfused recursion; the matrix is narrowed/streamed once per step for
-    // the whole group, and each member's float arithmetic matches the
-    // per-vector loop bit-for-bit.  Member rows are summed in instance
-    // order after each group.
-    const auto meter_spmmv32 = [&](std::size_t b) {
-      obs::add(obs::Counter::SpmvCalls, static_cast<double>(b));
-      obs::add(obs::Counter::Flops, static_cast<double>(b) * spmv_flops);
-      obs::add(obs::Counter::BytesStreamed,
-               matrix_bytes_f32 + 2.0 * static_cast<double>(b) * dd_obs * sizeof(float));
-    };
-    std::vector<float> b0(d * block), b_prev2(d * block), b_prev(d * block),
-        b_next(d * block), dots(block);
-    std::vector<double> rows(block * n);
-    const std::size_t groups = (executed + block - 1) / block;
-    for (std::size_t g = 0; g < groups; ++g) {
-      const std::size_t first = g * block;
-      const std::size_t b = std::min(block, executed - first);
-      b0.resize(d * b);
-      b_prev2.resize(d * b);
-      b_prev.resize(d * b);
-      b_next.resize(d * b);
-      dots.resize(b);
-      std::fill(rows.begin(), rows.end(), 0.0);
-      obs::add(obs::Counter::InstancesExecuted, static_cast<double>(b));
-      obs::add(obs::Counter::RngElements, static_cast<double>(b) * dd_obs);
-      for (std::size_t j = 0; j < b; ++j)
-        for (std::size_t i = 0; i < d; ++i)
-          b0[i * b + j] = static_cast<float>(
-              rng::draw_random_element(params.vector_kind, params.seed, first + j, i));
+    b_prev2 = b0;
+    obs::add(obs::Counter::BytesStreamed, 2.0 * static_cast<double>(b) * dd_obs * sizeof(float));
 
-      block_dot_f32(b0, b0, b, d, dots);
+    for (std::size_t k = 2; k < n; ++k) {
+      spmmv_f32(h_tilde, b, b_prev, b_next, acc);
+      meter_spmmv32(b);
+      for (std::size_t i = 0; i < d * b; ++i) b_next[i] = 2.0f * b_next[i] - b_prev2[i];
+      obs::add(obs::Counter::Flops, 2.0 * static_cast<double>(b) * dd_obs);
+      obs::add(obs::Counter::BytesStreamed, 3.0 * static_cast<double>(b) * dd_obs * sizeof(float));
+      block_dot_f32(b0, b_next, b, d, dots);
       for (std::size_t j = 0; j < b; ++j) {
-        rows[j * n] += static_cast<double>(dots[j]);
+        rows[j * n + k] += static_cast<double>(dots[j]);
         meter_dot32();
       }
-      spmmv_f32(h_tilde, b, b0, b_prev);
-      meter_spmmv32(b);
-      if (n > 1) {
-        block_dot_f32(b0, b_prev, b, d, dots);
-        for (std::size_t j = 0; j < b; ++j) {
-          rows[j * n + 1] += static_cast<double>(dots[j]);
-          meter_dot32();
-        }
-      }
-      b_prev2 = b0;
-      obs::add(obs::Counter::BytesStreamed,
-               2.0 * static_cast<double>(b) * dd_obs * sizeof(float));
+      std::swap(b_prev2, b_prev);
+      std::swap(b_prev, b_next);
+    }
 
-      for (std::size_t k = 2; k < n; ++k) {
-        spmmv_f32(h_tilde, b, b_prev, b_next);
-        meter_spmmv32(b);
-        for (std::size_t i = 0; i < d * b; ++i) b_next[i] = 2.0f * b_next[i] - b_prev2[i];
-        obs::add(obs::Counter::Flops, 2.0 * static_cast<double>(b) * dd_obs);
-        obs::add(obs::Counter::BytesStreamed,
-                 3.0 * static_cast<double>(b) * dd_obs * sizeof(float));
-        block_dot_f32(b0, b_next, b, d, dots);
-        for (std::size_t j = 0; j < b; ++j) {
-          rows[j * n + k] += static_cast<double>(dots[j]);
-          meter_dot32();
-        }
-        std::swap(b_prev2, b_prev);
-        std::swap(b_prev, b_next);
-      }
-
-      for (std::size_t j = 0; j < b; ++j) {
-        const double* row = rows.data() + j * n;
-        for (std::size_t k = 0; k < n; ++k) mu_sum[k] += row[k];
-      }
+    for (std::size_t j = 0; j < b; ++j) {
+      const double* row = rows.data() + j * n;
+      for (std::size_t k = 0; k < n; ++k) mu_sum[k] += row[k];
     }
   }
 
@@ -309,23 +213,10 @@ MomentResult CpuMomentEngineF32::compute(const linalg::MatrixOperator& h_tilde,
     gw.working_set_bytes = matrix_bytes + 4.0 * bb * dd * sizeof(float);
     return gw;
   };
-  cpumodel::CpuWorkload w;
-  if (block <= 1) {
-    w = group_work(1);
-    w.scale(static_cast<double>(total));
-  } else {
-    const std::size_t full = total / block;
-    const std::size_t rem = total % block;
-    w = group_work(block);
-    const double ws_bytes = w.working_set_bytes;
-    w.scale(static_cast<double>(full));
-    w.working_set_bytes = full > 0 ? ws_bytes : 0.0;
-    if (rem > 0) w += group_work(rem);
-  }
-
   cpumodel::CpuSpec sp = spec_;
   sp.flops_per_cycle *= 2.0;  // twice the SIMD lanes in binary32
-  const cpumodel::CpuStats stats = cpumodel::model_cpu_time(sp, w);
+  const cpumodel::CpuStats stats =
+      cpumodel::model_cpu_time(sp, grouped_workload(total, block, group_work));
   result.model_seconds = stats.seconds;
   result.compute_seconds = stats.compute_seconds;
   return result;

@@ -17,52 +17,6 @@ namespace {
 
 using Complex = std::complex<double>;
 
-/// Runs one instance's complex Chebyshev recursion, adding Re<r0|r_n> to
-/// mu_sum[n].
-void hermitian_instance(const linalg::CrsMatrixZ& h, std::span<const Complex> r0,
-                        std::vector<Complex>& prev2, std::vector<Complex>& prev,
-                        std::vector<Complex>& next, std::span<double> mu_sum) {
-  const std::size_t d = r0.size();
-  const std::size_t n = mu_sum.size();
-  auto dot_re = [&](std::span<const Complex> v) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < d; ++i) acc += (std::conj(r0[i]) * v[i]).real();
-    return acc;
-  };
-
-  // Instance + non-fused-call meters (the fused complex kernel below meters
-  // itself); complex elements are 16 bytes, complex SpMV is 8 flops/entry.
-  obs::add(obs::Counter::InstancesExecuted, 1.0);
-  const double dd = static_cast<double>(d);
-  const auto meter_dot_re = [&] {
-    obs::add(obs::Counter::DotCalls, 1.0);
-    obs::add(obs::Counter::Flops, 4.0 * dd);
-    obs::add(obs::Counter::BytesStreamed, 2.0 * dd * sizeof(Complex));
-  };
-
-  mu_sum[0] += dot_re(r0);
-  meter_dot_re();
-  if (n == 1) return;
-  h.multiply(r0, prev);
-  obs::add(obs::Counter::SpmvCalls, 1.0);
-  obs::add(obs::Counter::Flops, 8.0 * static_cast<double>(h.nnz()));
-  obs::add(obs::Counter::BytesStreamed,
-           static_cast<double>(h.nnz() * (sizeof(Complex) + sizeof(linalg::CrsMatrixZ::Index)) +
-                               (h.rows() + 1) * sizeof(linalg::CrsMatrixZ::Index)) +
-               2.0 * dd * sizeof(Complex));
-  mu_sum[1] += dot_re(prev);
-  meter_dot_re();
-  prev2.assign(r0.begin(), r0.end());
-  obs::meter_stream_bytes(2.0 * dd * sizeof(Complex));
-  for (std::size_t k = 2; k < n; ++k) {
-    // Fused SpMV + combine + Re-dot (one pass; same accumulation order as
-    // the unfused sequence, so results are unchanged bit-for-bit).
-    mu_sum[k] += linalg::spmv_combine_dot_re(h, prev, prev2, r0, next);
-    std::swap(prev2, prev);
-    std::swap(prev, next);
-  }
-}
-
 /// Blocked complex multiply y_j = H x_j on the interleaved block layout
 /// (one matrix stream for the whole group); per-member accumulation order
 /// matches CrsMatrixZ::multiply.  Meters b products over one stream.
@@ -92,21 +46,23 @@ void spmmv_z(const linalg::CrsMatrixZ& h, std::size_t b, std::span<const Complex
                2.0 * static_cast<double>(b) * static_cast<double>(h.rows()) * sizeof(Complex));
 }
 
-/// Runs a group of `b` instances' complex recursions in one blocked pass,
-/// adding member j's Re<r0_j|r_n_j> into mu_rows[j*n, j*n + n).  Each
-/// member's arithmetic matches hermitian_instance bit-for-bit.
+/// Runs a group of `b` instances' complex Chebyshev recursions in one
+/// blocked pass, adding member j's Re<r0_j|r_n_j> into mu_rows[j*n, j*n +
+/// n); a single start vector is a group of one.  Counted as b instances.
 void hermitian_group(const linalg::CrsMatrixZ& h, std::size_t b, std::span<const Complex> r0,
                      std::vector<Complex>& prev2, std::vector<Complex>& prev,
                      std::vector<Complex>& next, std::size_t n, std::span<double> mu_rows) {
   const std::size_t d = h.rows();
   const double dd = static_cast<double>(d);
-  // Per-member single-lane left fold, matching hermitian_instance's dot_re.
+  // Per-member single-lane left fold, the same order as the fused kernel's.
   auto block_dot_re = [&](std::span<const Complex> v, std::size_t j) {
     double acc = 0.0;
     for (std::size_t i = 0; i < d; ++i)
       acc += (std::conj(r0[i * b + j]) * v[i * b + j]).real();
     return acc;
   };
+  // Non-fused-call meters (the fused complex kernel meters itself):
+  // complex elements are 16 bytes, complex SpMV is 8 flops per entry.
   const auto meter_dot_re = [&] {
     obs::add(obs::Counter::DotCalls, 1.0);
     obs::add(obs::Counter::Flops, 4.0 * dd);
@@ -156,36 +112,25 @@ MomentResult HermitianMomentEngine::compute(const linalg::CrsMatrixZ& h_tilde,
   std::vector<double> mu_sum(n, 0.0);
   const std::size_t block = params.block_r;
 
-  if (block <= 1) {
-    std::vector<Complex> r0(d), prev2(d), prev(d), next(d);
-    for (std::size_t inst = 0; inst < executed; ++inst) {
-      obs::add(obs::Counter::RngElements, static_cast<double>(d));
+  // Groups of `block` instances share each matrix stream; member rows are
+  // summed in instance order, so the moments do not depend on B.
+  std::vector<Complex> r0(d * block), prev2(d * block), prev(d * block), next(d * block);
+  std::vector<double> rows(block * n);
+  const std::size_t groups = (executed + block - 1) / block;
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::size_t first = g * block;
+    const std::size_t b = std::min(block, executed - first);
+    obs::add(obs::Counter::RngElements, static_cast<double>(d * b));
+    for (std::size_t j = 0; j < b; ++j)
       for (std::size_t i = 0; i < d; ++i)
-        r0[i] = Complex{
-            rng::draw_random_element(params.vector_kind, params.seed, inst, i), 0.0};
-      hermitian_instance(h_tilde, r0, prev2, prev, next, mu_sum);
-    }
-  } else {
-    // Blocked path: groups of `block` instances share each matrix stream;
-    // member rows are summed in instance order (bit-identical to serial).
-    std::vector<Complex> r0(d * block), prev2(d * block), prev(d * block), next(d * block);
-    std::vector<double> rows(block * n);
-    const std::size_t groups = (executed + block - 1) / block;
-    for (std::size_t g = 0; g < groups; ++g) {
-      const std::size_t first = g * block;
-      const std::size_t b = std::min(block, executed - first);
-      obs::add(obs::Counter::RngElements, static_cast<double>(d * b));
-      for (std::size_t j = 0; j < b; ++j)
-        for (std::size_t i = 0; i < d; ++i)
-          r0[i * b + j] = Complex{
-              rng::draw_random_element(params.vector_kind, params.seed, first + j, i), 0.0};
-      std::fill(rows.begin(), rows.end(), 0.0);
-      hermitian_group(h_tilde, b, std::span<const Complex>(r0.data(), d * b), prev2, prev,
-                      next, n, rows);
-      for (std::size_t j = 0; j < b; ++j) {
-        const double* row = rows.data() + j * n;
-        for (std::size_t k = 0; k < n; ++k) mu_sum[k] += row[k];
-      }
+        r0[i * b + j] =
+            Complex{rng::draw_random_element(params.vector_kind, params.seed, first + j, i), 0.0};
+    std::fill(rows.begin(), rows.end(), 0.0);
+    hermitian_group(h_tilde, b, std::span<const Complex>(r0.data(), d * b), prev2, prev, next,
+                    n, rows);
+    for (std::size_t j = 0; j < b; ++j) {
+      const double* row = rows.data() + j * n;
+      for (std::size_t k = 0; k < n; ++k) mu_sum[k] += row[k];
     }
   }
 
@@ -213,7 +158,7 @@ std::vector<double> ldos_moments_hermitian(const linalg::CrsMatrixZ& h_tilde, st
   std::vector<double> mu(num_moments, 0.0);
   std::vector<Complex> e(d, Complex{0.0, 0.0}), prev2(d), prev(d), next(d);
   e[site] = Complex{1.0, 0.0};
-  hermitian_instance(h_tilde, e, prev2, prev, next, mu);
+  hermitian_group(h_tilde, 1, e, prev2, prev, next, num_moments, mu);
   return mu;
 }
 
@@ -226,29 +171,19 @@ std::vector<double> deterministic_trace_moments_hermitian(const linalg::CrsMatri
   const std::size_t d = h_tilde.rows();
   const std::size_t n = num_moments;
   std::vector<double> mu(n, 0.0);
-  if (block <= 1) {
-    std::vector<Complex> e(d), prev2(d), prev(d), next(d);
-    for (std::size_t site = 0; site < d; ++site) {
-      std::fill(e.begin(), e.end(), Complex{0.0, 0.0});
-      e[site] = Complex{1.0, 0.0};
-      hermitian_instance(h_tilde, e, prev2, prev, next, mu);
-    }
-  } else {
-    // Blocked basis sweep: `block` unit vectors share each matrix stream.
-    std::vector<Complex> e(d * block), prev2(d * block), prev(d * block), next(d * block);
-    std::vector<double> rows(block * n);
-    for (std::size_t first = 0; first < d; first += block) {
-      const std::size_t b = std::min(block, d - first);
-      std::fill(e.begin(), e.begin() + static_cast<std::ptrdiff_t>(d * b),
-                Complex{0.0, 0.0});
-      for (std::size_t j = 0; j < b; ++j) e[(first + j) * b + j] = Complex{1.0, 0.0};
-      std::fill(rows.begin(), rows.end(), 0.0);
-      hermitian_group(h_tilde, b, std::span<const Complex>(e.data(), d * b), prev2, prev,
-                      next, n, rows);
-      for (std::size_t j = 0; j < b; ++j) {
-        const double* row = rows.data() + j * n;
-        for (std::size_t k = 0; k < n; ++k) mu[k] += row[k];
-      }
+  // Basis sweep: `block` unit vectors share each matrix stream.
+  std::vector<Complex> e(d * block), prev2(d * block), prev(d * block), next(d * block);
+  std::vector<double> rows(block * n);
+  for (std::size_t first = 0; first < d; first += block) {
+    const std::size_t b = std::min(block, d - first);
+    std::fill(e.begin(), e.begin() + static_cast<std::ptrdiff_t>(d * b), Complex{0.0, 0.0});
+    for (std::size_t j = 0; j < b; ++j) e[(first + j) * b + j] = Complex{1.0, 0.0};
+    std::fill(rows.begin(), rows.end(), 0.0);
+    hermitian_group(h_tilde, b, std::span<const Complex>(e.data(), d * b), prev2, prev, next, n,
+                    rows);
+    for (std::size_t j = 0; j < b; ++j) {
+      const double* row = rows.data() + j * n;
+      for (std::size_t k = 0; k < n; ++k) mu[k] += row[k];
     }
   }
   for (double& m : mu) m /= static_cast<double>(d);

@@ -21,7 +21,7 @@ using Complex = std::complex<double>;
 // measured counters against the roofline prediction.  SpmvCalls/DotCalls
 // count logical per-member products; FusedCalls counts passes.
 void meter_fused(std::size_t spmv_flops, std::size_t matrix_bytes, std::size_t dim,
-                 std::size_t dots, double element_bytes, std::size_t block = 1) {
+                 std::size_t dots, double element_bytes, std::size_t block) {
   if (obs::active_counters() == nullptr) return;
   const double d = static_cast<double>(dim);
   const double b = static_cast<double>(block);
@@ -54,17 +54,6 @@ void meter_spmmv(std::size_t spmv_flops, std::size_t matrix_bytes, std::size_t d
   // Must match MatrixOperator::spmv_matrix_bytes for CRS storage.
   return a.nnz() * (sizeof(double) + sizeof(CrsMatrix::Index)) +
          (a.rows() + 1) * sizeof(CrsMatrix::Index);
-}
-
-void require_fused_preconditions(std::size_t rows, std::size_t cols,
-                                 std::span<const double> r_prev, std::span<const double> r_prev2,
-                                 std::span<double> r_next) {
-  KPM_REQUIRE(rows == cols, "spmv_combine_dot: matrix must be square");
-  KPM_REQUIRE(r_prev.size() == cols && r_prev2.size() == rows && r_next.size() == rows,
-              "spmv_combine_dot: vector size mismatch");
-  KPM_REQUIRE(r_next.data() != r_prev.data(), "spmv_combine_dot: r_next must not alias r_prev");
-  KPM_REQUIRE(r_next.data() != r_prev2.data(),
-              "spmv_combine_dot: r_next must not alias r_prev2");
 }
 
 void require_multiply_preconditions(std::size_t rows, std::size_t cols, std::size_t block,
@@ -149,46 +138,6 @@ struct DenseAccess {
 };
 
 // ---------------------------------------------------------------------------
-// Single-vector kernel bodies, templated on the row-access policy.
-
-template <typename Access>
-double fused_dot_kernel(const Access& acc_rows, std::size_t rows,
-                        std::span<const double> r_prev, std::span<const double> r_prev2,
-                        std::span<const double> r0, std::span<double> r_next) {
-  // Dot lanes follow linalg::dot's canonical order: row r feeds lane r & 3.
-  double lane[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t r = 0; r < rows; ++r) {
-    double acc = 0.0;  // same accumulation order as CrsMatrix::multiply
-    acc_rows.row_entries(r, [&](double v, std::size_t c) { acc += v * r_prev[c]; });
-    const double next = 2.0 * acc - r_prev2[r];
-    r_next[r] = next;
-    lane[r & 3] += r0[r] * next;
-  }
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
-template <typename Access>
-PairedDots fused_dot2_kernel(const Access& acc_rows, std::size_t rows,
-                             std::span<const double> r_prev, std::span<const double> r_prev2,
-                             std::span<double> r_next) {
-  double lane_np[4] = {0.0, 0.0, 0.0, 0.0};
-  double lane_pp[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t r = 0; r < rows; ++r) {
-    double acc = 0.0;
-    acc_rows.row_entries(r, [&](double v, std::size_t c) { acc += v * r_prev[c]; });
-    const double next = 2.0 * acc - r_prev2[r];
-    const double prev = r_prev[r];
-    r_next[r] = next;
-    lane_np[r & 3] += next * prev;
-    lane_pp[r & 3] += prev * prev;
-  }
-  PairedDots dots;
-  dots.next_prev = (lane_np[0] + lane_np[1]) + (lane_np[2] + lane_np[3]);
-  dots.prev_prev = (lane_pp[0] + lane_pp[1]) + (lane_pp[2] + lane_pp[3]);
-  return dots;
-}
-
-// ---------------------------------------------------------------------------
 // Member-width dispatch for the blocked (SpMMV) kernel bodies.
 //
 // With the member count known only at run time, the B row accumulators
@@ -201,9 +150,9 @@ PairedDots fused_dot2_kernel(const Access& acc_rows, std::size_t rows,
 // across a row's entries (B/2 packed multiply-adds per entry).  Every
 // other width runs the same bodies with one double per pack, accumulating
 // straight into the output row.  Packed arithmetic is lane-wise IEEE, so
-// each member still runs exactly the single-vector operations in the same
-// order: entry order, 2*acc - prev2, and dot lane r & 3 folded as
-// (l0 + l1) + (l2 + l3).
+// each member still runs exactly the operations of one unfused vector
+// recursion in the same order: entry order, 2*acc - prev2, and dot lane
+// r & 3 folded as (l0 + l1) + (l2 + l3).
 
 // Members pack two per Double2 (common/double2.hpp).  The kernel bodies
 // below are [[gnu::flatten]]: their accumulators can only stay in
@@ -338,7 +287,7 @@ template <typename Width>
 }
 
 /// Member accumulators of row r: acc_j = 0 + the row's entries' v * x_j[c]
-/// in entry order — the single-vector multiply per member.
+/// in entry order — MatrixOperator::multiply per member.
 template <typename Width, typename Access>
 void accumulate_row(const Width& w, const Access& rows_of, std::size_t r, const double* x,
                     typename Width::Pack* acc) {
@@ -445,201 +394,13 @@ void dot2_block(const Access& rows_of, std::size_t rows, std::size_t block,
 
 }  // namespace
 
-// The CRS entry points that hold the single-vector and blocked recursions'
-// hot loops (spmv_combine_dot, spmmv_combine_dot and the blocked multiply's
+// The CRS entry points that hold the recursion's hot loops
+// (spmmv_combine_dot, at every B including 1, and the blocked multiply's
 // unmetered body) are pinned to the start of a 64-byte line.  GCC aligns
 // functions to 16 bytes, so without the pin an inner loop's offset within
 // its line moves whenever code linked before this file changes size, and a
 // loop that straddles a line boundary measurably slows the recursion
 // (docs/performance.md, "Hot-loop placement").
-
-[[gnu::aligned(64)]] double spmv_combine_dot(const CrsMatrix& a,
-                                             std::span<const double> r_prev,
-                                             std::span<const double> r_prev2,
-                                             std::span<const double> r0,
-                                             std::span<double> r_next) {
-  require_fused_preconditions(a.rows(), a.cols(), r_prev, r_prev2, r_next);
-  KPM_REQUIRE(r0.size() == a.rows(), "spmv_combine_dot: r0 size mismatch");
-  KPM_REQUIRE(r_next.data() != r0.data(), "spmv_combine_dot: r_next must not alias r0");
-  meter_fused(2 * a.nnz(), crs_matrix_bytes(a), a.rows(), 1, sizeof(double));
-
-  const auto row_ptr = a.row_ptr();
-  const auto col_idx = a.col_idx();
-  const auto values = a.values();
-  const std::size_t rows = a.rows();
-
-  // Dot lanes follow linalg::dot's canonical order: row r feeds lane r & 3.
-  double lane[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t r = 0; r < rows; ++r) {
-    double acc = 0.0;  // same accumulation order as CrsMatrix::multiply
-    for (auto k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      acc += values[kk] * r_prev[static_cast<std::size_t>(col_idx[kk])];
-    }
-    const double next = 2.0 * acc - r_prev2[r];
-    r_next[r] = next;
-    lane[r & 3] += r0[r] * next;
-  }
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
-double spmv_combine_dot(const DenseMatrix& a, std::span<const double> r_prev,
-                        std::span<const double> r_prev2, std::span<const double> r0,
-                        std::span<double> r_next) {
-  require_fused_preconditions(a.rows(), a.cols(), r_prev, r_prev2, r_next);
-  KPM_REQUIRE(r0.size() == a.rows(), "spmv_combine_dot: r0 size mismatch");
-  KPM_REQUIRE(r_next.data() != r0.data(), "spmv_combine_dot: r_next must not alias r0");
-  meter_fused(2 * a.rows() * a.cols(), a.rows() * a.cols() * sizeof(double), a.rows(), 1,
-              sizeof(double));
-
-  const std::size_t rows = a.rows();
-  const std::size_t cols = a.cols();
-  double lane[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto row = a.row(r);
-    double acc = 0.0;  // same accumulation order as DenseMatrix::multiply
-    for (std::size_t c = 0; c < cols; ++c) acc += row[c] * r_prev[c];
-    const double next = 2.0 * acc - r_prev2[r];
-    r_next[r] = next;
-    lane[r & 3] += r0[r] * next;
-  }
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
-double spmv_combine_dot(const SellMatrix& a, std::span<const double> r_prev,
-                        std::span<const double> r_prev2, std::span<const double> r0,
-                        std::span<double> r_next) {
-  require_fused_preconditions(a.rows(), a.cols(), r_prev, r_prev2, r_next);
-  KPM_REQUIRE(r0.size() == a.rows(), "spmv_combine_dot: r0 size mismatch");
-  KPM_REQUIRE(r_next.data() != r0.data(), "spmv_combine_dot: r_next must not alias r0");
-  meter_fused(2 * a.nnz(), a.spmv_matrix_bytes(), a.rows(), 1, sizeof(double));
-  return fused_dot_kernel(SellAccess(a), a.rows(), r_prev, r_prev2, r0, r_next);
-}
-
-double spmv_combine_dot(const MatrixOperator& op, std::span<const double> r_prev,
-                        std::span<const double> r_prev2, std::span<const double> r0,
-                        std::span<double> r_next) {
-  if (op.dense() != nullptr) return spmv_combine_dot(*op.dense(), r_prev, r_prev2, r0, r_next);
-  if (op.crs() != nullptr) return spmv_combine_dot(*op.crs(), r_prev, r_prev2, r0, r_next);
-  return spmv_combine_dot(*op.sell(), r_prev, r_prev2, r0, r_next);
-}
-
-PairedDots spmv_combine_dot2(const CrsMatrix& a, std::span<const double> r_prev,
-                             std::span<const double> r_prev2, std::span<double> r_next) {
-  require_fused_preconditions(a.rows(), a.cols(), r_prev, r_prev2, r_next);
-  meter_fused(2 * a.nnz(), crs_matrix_bytes(a), a.rows(), 2, sizeof(double));
-
-  const auto row_ptr = a.row_ptr();
-  const auto col_idx = a.col_idx();
-  const auto values = a.values();
-  const std::size_t rows = a.rows();
-
-  double lane_np[4] = {0.0, 0.0, 0.0, 0.0};
-  double lane_pp[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t r = 0; r < rows; ++r) {
-    double acc = 0.0;
-    for (auto k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      acc += values[kk] * r_prev[static_cast<std::size_t>(col_idx[kk])];
-    }
-    const double next = 2.0 * acc - r_prev2[r];
-    const double prev = r_prev[r];
-    r_next[r] = next;
-    lane_np[r & 3] += next * prev;
-    lane_pp[r & 3] += prev * prev;
-  }
-  PairedDots dots;
-  dots.next_prev = (lane_np[0] + lane_np[1]) + (lane_np[2] + lane_np[3]);
-  dots.prev_prev = (lane_pp[0] + lane_pp[1]) + (lane_pp[2] + lane_pp[3]);
-  return dots;
-}
-
-PairedDots spmv_combine_dot2(const DenseMatrix& a, std::span<const double> r_prev,
-                             std::span<const double> r_prev2, std::span<double> r_next) {
-  require_fused_preconditions(a.rows(), a.cols(), r_prev, r_prev2, r_next);
-  meter_fused(2 * a.rows() * a.cols(), a.rows() * a.cols() * sizeof(double), a.rows(), 2,
-              sizeof(double));
-
-  const std::size_t rows = a.rows();
-  const std::size_t cols = a.cols();
-  double lane_np[4] = {0.0, 0.0, 0.0, 0.0};
-  double lane_pp[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto row = a.row(r);
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols; ++c) acc += row[c] * r_prev[c];
-    const double next = 2.0 * acc - r_prev2[r];
-    const double prev = r_prev[r];
-    r_next[r] = next;
-    lane_np[r & 3] += next * prev;
-    lane_pp[r & 3] += prev * prev;
-  }
-  PairedDots dots;
-  dots.next_prev = (lane_np[0] + lane_np[1]) + (lane_np[2] + lane_np[3]);
-  dots.prev_prev = (lane_pp[0] + lane_pp[1]) + (lane_pp[2] + lane_pp[3]);
-  return dots;
-}
-
-PairedDots spmv_combine_dot2(const SellMatrix& a, std::span<const double> r_prev,
-                             std::span<const double> r_prev2, std::span<double> r_next) {
-  require_fused_preconditions(a.rows(), a.cols(), r_prev, r_prev2, r_next);
-  meter_fused(2 * a.nnz(), a.spmv_matrix_bytes(), a.rows(), 2, sizeof(double));
-  return fused_dot2_kernel(SellAccess(a), a.rows(), r_prev, r_prev2, r_next);
-}
-
-PairedDots spmv_combine_dot2(const MatrixOperator& op, std::span<const double> r_prev,
-                             std::span<const double> r_prev2, std::span<double> r_next) {
-  if (op.dense() != nullptr) return spmv_combine_dot2(*op.dense(), r_prev, r_prev2, r_next);
-  if (op.crs() != nullptr) return spmv_combine_dot2(*op.crs(), r_prev, r_prev2, r_next);
-  return spmv_combine_dot2(*op.sell(), r_prev, r_prev2, r_next);
-}
-
-double spmv_combine_dot_re(const CrsMatrixZ& a, std::span<const std::complex<double>> r_prev,
-                           std::span<const std::complex<double>> r_prev2,
-                           std::span<const std::complex<double>> r0,
-                           std::span<std::complex<double>> r_next) {
-  KPM_REQUIRE(a.rows() == a.cols(), "spmv_combine_dot_re: matrix must be square");
-  KPM_REQUIRE(r_prev.size() == a.cols() && r_prev2.size() == a.rows() &&
-                  r0.size() == a.rows() && r_next.size() == a.rows(),
-              "spmv_combine_dot_re: vector size mismatch");
-  KPM_REQUIRE(r_next.data() != r_prev.data() && r_next.data() != r_prev2.data() &&
-                  r_next.data() != r0.data(),
-              "spmv_combine_dot_re: r_next must not alias an input");
-  if (obs::active_counters() != nullptr) {
-    // Complex SpMV: 8 flops per stored entry; combine and the real-part dot
-    // contribute 4 flops per element each.  Vector traffic is four complex
-    // vectors (r_prev, r_prev2, r0 reads + r_next write).
-    const double d = static_cast<double>(a.rows());
-    const double matrix_bytes = static_cast<double>(
-        a.nnz() * (sizeof(std::complex<double>) + sizeof(CrsMatrixZ::Index)) +
-        (a.rows() + 1) * sizeof(CrsMatrixZ::Index));
-    const double bytes = matrix_bytes + 4.0 * d * sizeof(std::complex<double>);
-    obs::add(obs::Counter::SpmvCalls, 1.0);
-    obs::add(obs::Counter::DotCalls, 1.0);
-    obs::add(obs::Counter::FusedCalls, 1.0);
-    obs::add(obs::Counter::Flops, 8.0 * static_cast<double>(a.nnz()) + 8.0 * d);
-    obs::add(obs::Counter::BytesStreamed, bytes);
-    obs::add(obs::Counter::FusedBytes, bytes);
-  }
-
-  const auto row_ptr = a.row_ptr();
-  const auto col_idx = a.col_idx();
-  const auto values = a.values();
-  const std::size_t rows = a.rows();
-
-  double dot_re = 0.0;  // single-lane left fold, matching the pre-fusion path
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::complex<double> acc{0.0, 0.0};  // same order as CrsMatrixZ::multiply
-    for (auto k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      acc += values[kk] * r_prev[static_cast<std::size_t>(col_idx[kk])];
-    }
-    const std::complex<double> next = 2.0 * acc - r_prev2[r];
-    r_next[r] = next;
-    dot_re += (std::conj(r0[r]) * next).real();
-  }
-  return dot_re;
-}
 
 // ---------------------------------------------------------------------------
 // Vector-block (SpMMV) kernels.
@@ -746,6 +507,14 @@ void spmmv_combine_dot(const MatrixOperator& op, std::size_t block,
   return spmmv_combine_dot(*op.sell(), block, r_prev, r_prev2, r0, r_next, dots);
 }
 
+double spmv_combine_dot(const MatrixOperator& op, std::span<const double> r_prev,
+                        std::span<const double> r_prev2, std::span<const double> r0,
+                        std::span<double> r_next) {
+  double dot = 0.0;
+  spmmv_combine_dot(op, 1, r_prev, r_prev2, r0, r_next, std::span<double>(&dot, 1));
+  return dot;
+}
+
 void spmmv_combine_dot2(const CrsMatrix& a, std::size_t block, std::span<const double> r_prev,
                         std::span<const double> r_prev2, std::span<double> r_next,
                         std::span<PairedDots> dots) {
@@ -799,7 +568,10 @@ void spmmv_combine_dot_re(const CrsMatrixZ& a, std::size_t block,
                   r_next.data() != r0.data(),
               "spmmv_combine_dot_re: r_next must not alias an input");
   if (obs::active_counters() != nullptr) {
-    // Per-member model matches spmv_combine_dot_re; the matrix streams once.
+    // Per member: complex SpMV at 8 flops per stored entry, combine and the
+    // real-part dot at 4 flops per element each, and four complex vectors
+    // streamed (r_prev, r_prev2, r0 reads + r_next write).  The matrix
+    // streams once for the block.
     const double d = static_cast<double>(a.rows());
     const double b = static_cast<double>(block);
     const double matrix_bytes = static_cast<double>(

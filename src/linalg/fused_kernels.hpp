@@ -11,23 +11,22 @@
 // from 7 D doubles to 4 D (matrix traffic is unchanged) — the kernel-fusion
 // lever of Kreutzer et al. (arXiv:1410.5242) applied to the host engines.
 //
-// Bit-compatibility contract: the fused kernels produce results that are
-// bit-identical to the unfused multiply + chebyshev_combine + dot sequence.
-// The per-row SpMV accumulation order matches CrsMatrix/DenseMatrix
-// ::multiply exactly, and the dot accumulation uses linalg::dot's canonical
-// 4-lane order (row r feeds lane r mod 4; total = (l0 + l1) + (l2 + l3)).
+// Vector-block (SpMMV) form: every kernel processes a BLOCK of B
+// independent recursion vectors per matrix pass — the decisive KPM lever
+// of Kreutzer et al.: matrix traffic is amortized 1/B while the per-member
+// arithmetic is untouched.  One vector is the case B = 1; there is no
+// separate single-vector kernel.  Block vectors are stored INTERLEAVED:
+// element i of member j lives at x[i*B + j], so the inner member loop reads
+// unit-stride memory at every gathered row.
 //
-// Vector-block (SpMMV) variants: the spmmv_* kernels process a BLOCK of B
-// independent recursion vectors per matrix pass — the decisive KPM lever of
-// Kreutzer et al.: matrix traffic is amortized 1/B while the per-member
-// arithmetic is untouched.  Block vectors are stored INTERLEAVED: element i
-// of member j lives at x[i*B + j], so the inner member loop reads
-// unit-stride memory at every gathered row.  Every member's accumulation
-// (per-row entry order AND dot lane order, with the member's own 4 lanes)
-// is identical to the corresponding single-vector kernel, so blocked
-// results are bit-identical to B per-vector passes.  SELL-C-sigma operators
-// traverse rows in LOGICAL order through `slot_of()`, with per-row entry
-// order matching CRS, so SELL results are bit-identical to CRS too.
+// Bit-compatibility contract: member j's outputs are bit-identical to the
+// unfused multiply + chebyshev_combine + dot sequence on its deinterleaved
+// vectors, for every B.  The per-row SpMV accumulation order matches
+// CrsMatrix/DenseMatrix::multiply exactly, and each member's dot uses
+// linalg::dot's canonical 4-lane order (row r feeds lane r mod 4; total =
+// (l0 + l1) + (l2 + l3)).  SELL-C-sigma operators traverse rows in LOGICAL
+// order through `slot_of()`, with per-row entry order matching CRS, so SELL
+// results are bit-identical to CRS too.
 #pragma once
 
 #include <complex>
@@ -42,56 +41,11 @@
 
 namespace kpm::linalg {
 
-/// r_next = 2 * A * r_prev - r_prev2; returns <r0 | r_next>.
-/// Preconditions: all spans have length A.rows() == A.cols(); r_next must
-/// not alias r_prev, r_prev2 or r0 (the SpMV gathers r_prev while r_next is
-/// written, and the dot reads r0 against freshly written rows).
-[[nodiscard]] double spmv_combine_dot(const CrsMatrix& a, std::span<const double> r_prev,
-                                      std::span<const double> r_prev2, std::span<const double> r0,
-                                      std::span<double> r_next);
-[[nodiscard]] double spmv_combine_dot(const DenseMatrix& a, std::span<const double> r_prev,
-                                      std::span<const double> r_prev2, std::span<const double> r0,
-                                      std::span<double> r_next);
-[[nodiscard]] double spmv_combine_dot(const SellMatrix& a, std::span<const double> r_prev,
-                                      std::span<const double> r_prev2, std::span<const double> r0,
-                                      std::span<double> r_next);
-/// Storage-dispatching overload for engine code.
-[[nodiscard]] double spmv_combine_dot(const MatrixOperator& op, std::span<const double> r_prev,
-                                      std::span<const double> r_prev2, std::span<const double> r0,
-                                      std::span<double> r_next);
-
 /// Both dot products the paired-moment recursion needs from one pass.
 struct PairedDots {
   double next_prev = 0.0;  ///< <r_next | r_prev>  (feeds mu~_{2k+1})
   double prev_prev = 0.0;  ///< <r_prev | r_prev>  (feeds mu~_{2k})
 };
-
-/// r_next = 2 * A * r_prev - r_prev2; returns <r_next|r_prev> and
-/// <r_prev|r_prev> computed in the same pass.  Same alias preconditions as
-/// spmv_combine_dot.
-[[nodiscard]] PairedDots spmv_combine_dot2(const CrsMatrix& a, std::span<const double> r_prev,
-                                           std::span<const double> r_prev2,
-                                           std::span<double> r_next);
-[[nodiscard]] PairedDots spmv_combine_dot2(const DenseMatrix& a, std::span<const double> r_prev,
-                                           std::span<const double> r_prev2,
-                                           std::span<double> r_next);
-[[nodiscard]] PairedDots spmv_combine_dot2(const SellMatrix& a, std::span<const double> r_prev,
-                                           std::span<const double> r_prev2,
-                                           std::span<double> r_next);
-[[nodiscard]] PairedDots spmv_combine_dot2(const MatrixOperator& op,
-                                           std::span<const double> r_prev,
-                                           std::span<const double> r_prev2,
-                                           std::span<double> r_next);
-
-/// Complex-Hermitian variant: r_next = 2 * A * r_prev - r_prev2; returns
-/// Re<r0 | r_next> = sum_r Re(conj(r0[r]) * r_next[r]).  Accumulates the
-/// dot left-to-right (single lane), matching the pre-fusion Hermitian
-/// moment path bit-for-bit.  Same alias preconditions as spmv_combine_dot.
-[[nodiscard]] double spmv_combine_dot_re(const CrsMatrixZ& a,
-                                         std::span<const std::complex<double>> r_prev,
-                                         std::span<const std::complex<double>> r_prev2,
-                                         std::span<const std::complex<double>> r0,
-                                         std::span<std::complex<double>> r_next);
 
 // ---------------------------------------------------------------------------
 // Vector-block (SpMMV) kernels.  `block` is B >= 1; block spans hold
@@ -121,9 +75,10 @@ void spmmv_multiply(const MatrixOperator& op, std::size_t block, std::span<const
                     std::span<double> y);
 
 /// r_next_j = 2 * A * r_prev_j - r_prev2_j and dots[j] = <r0_j | r_next_j>
-/// for all B members in one matrix pass.  Same alias preconditions as
-/// spmv_combine_dot; member j's outputs are bit-identical to the
-/// single-vector kernel on its deinterleaved vectors.
+/// for all B members in one matrix pass.  Preconditions: all blocks have
+/// length A.rows() * B == A.cols() * B and dots has B entries; r_next must
+/// not alias r_prev, r_prev2 or r0 (the SpMV gathers r_prev while r_next is
+/// written, and the dot reads r0 against freshly written rows).
 void spmmv_combine_dot(const CrsMatrix& a, std::size_t block, std::span<const double> r_prev,
                        std::span<const double> r_prev2, std::span<const double> r0,
                        std::span<double> r_next, std::span<double> dots);
@@ -138,8 +93,14 @@ void spmmv_combine_dot(const MatrixOperator& op, std::size_t block,
                        std::span<const double> r0, std::span<double> r_next,
                        std::span<double> dots);
 
+/// One vector: spmmv_combine_dot at B = 1, returning <r0 | r_next>.
+[[nodiscard]] double spmv_combine_dot(const MatrixOperator& op, std::span<const double> r_prev,
+                                      std::span<const double> r_prev2, std::span<const double> r0,
+                                      std::span<double> r_next);
+
 /// Blocked paired-moment pass: r_next_j = 2 * A * r_prev_j - r_prev2_j with
-/// dots[j] = {<r_next_j|r_prev_j>, <r_prev_j|r_prev_j>} per member.
+/// dots[j] = {<r_next_j|r_prev_j>, <r_prev_j|r_prev_j>} per member.  Same
+/// alias preconditions as spmmv_combine_dot.
 void spmmv_combine_dot2(const CrsMatrix& a, std::size_t block, std::span<const double> r_prev,
                         std::span<const double> r_prev2, std::span<double> r_next,
                         std::span<PairedDots> dots);
@@ -154,7 +115,9 @@ void spmmv_combine_dot2(const MatrixOperator& op, std::size_t block,
                         std::span<double> r_next, std::span<PairedDots> dots);
 
 /// Blocked complex-Hermitian pass: per member, dots[j] = Re<r0_j|r_next_j>
-/// accumulated as a single-lane left fold (matching spmv_combine_dot_re).
+/// = sum_r Re(conj(r0_j[r]) * r_next_j[r]), accumulated as a single-lane
+/// left fold; the per-row accumulation order matches CrsMatrixZ::multiply.
+/// Same alias preconditions as spmmv_combine_dot.
 void spmmv_combine_dot_re(const CrsMatrixZ& a, std::size_t block,
                           std::span<const std::complex<double>> r_prev,
                           std::span<const std::complex<double>> r_prev2,

@@ -3,6 +3,8 @@
 // of letting a later fopen die cryptically.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -15,9 +17,16 @@ namespace {
 namespace fs = std::filesystem;
 using kpm::bench::resolve_output;
 
+/// A scratch directory private to the running test: ctest runs each case as
+/// its own process, possibly in parallel, so the name carries the test name
+/// and the process id.
 struct TempDir {
   fs::path path;
-  TempDir() : path(fs::temp_directory_path() / "kpm_bench_common_test") {
+  TempDir()
+      : path(fs::temp_directory_path() /
+             ("kpm_bench_common_test_" +
+              std::string(testing::UnitTest::GetInstance()->current_test_info()->name()) + "_" +
+              std::to_string(getpid()))) {
     fs::remove_all(path);
   }
   ~TempDir() { fs::remove_all(path); }

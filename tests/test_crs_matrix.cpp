@@ -177,9 +177,9 @@ TEST(CrsFusedKernels, SpmvCombineDotMatchesUnfusedBitwise) {
     kpm::linalg::chebyshev_combine(hx, r_prev2, expected_next);
     const double expected_mu = kpm::linalg::dot(r0, expected_next);
 
-    std::vector<double> r_next(d);
-    const double mu = kpm::linalg::spmv_combine_dot(a, r_prev, r_prev2, r0, r_next);
-    EXPECT_EQ(mu, expected_mu) << "d=" << d;  // bitwise equality required
+    std::vector<double> r_next(d), mu(1);
+    kpm::linalg::spmmv_combine_dot(a, 1, r_prev, r_prev2, r0, r_next, mu);  // one vector: B = 1
+    EXPECT_EQ(mu[0], expected_mu) << "d=" << d;  // bitwise equality required
     for (std::size_t i = 0; i < d; ++i) EXPECT_EQ(r_next[i], expected_next[i]);
   }
 }
@@ -199,21 +199,25 @@ TEST(CrsFusedKernels, SpmvCombineDot2MatchesUnfusedBitwise) {
   const double expected_pp = kpm::linalg::dot(r_prev, r_prev);
 
   std::vector<double> r_next(d);
-  const auto dots = kpm::linalg::spmv_combine_dot2(a, r_prev, r_prev2, r_next);
-  EXPECT_EQ(dots.next_prev, expected_np);
-  EXPECT_EQ(dots.prev_prev, expected_pp);
+  std::vector<kpm::linalg::PairedDots> dots(1);
+  kpm::linalg::spmmv_combine_dot2(a, 1, r_prev, r_prev2, r_next, dots);
+  EXPECT_EQ(dots[0].next_prev, expected_np);
+  EXPECT_EQ(dots[0].prev_prev, expected_pp);
   for (std::size_t i = 0; i < d; ++i) EXPECT_EQ(r_next[i], expected_next[i]);
 }
 
 TEST(CrsFusedKernels, RejectsAliasedOutputAndMismatchedSizes) {
   const auto a = sparse_example(6);
-  std::vector<double> r_prev(6, 1.0), r_prev2(6, 1.0), r0(6, 1.0), out(6);
-  EXPECT_THROW((void)kpm::linalg::spmv_combine_dot(a, r_prev, r_prev2, r0, r_prev), kpm::Error);
-  EXPECT_THROW((void)kpm::linalg::spmv_combine_dot(a, r_prev, r_prev2, r0, r_prev2), kpm::Error);
-  EXPECT_THROW((void)kpm::linalg::spmv_combine_dot2(a, r_prev, r_prev2, r_prev), kpm::Error);
+  std::vector<double> r_prev(6, 1.0), r_prev2(6, 1.0), r0(6, 1.0), out(6), mu(1);
+  std::vector<kpm::linalg::PairedDots> dots(1);
+  using kpm::linalg::spmmv_combine_dot;
+  using kpm::linalg::spmmv_combine_dot2;
+  EXPECT_THROW(spmmv_combine_dot(a, 1, r_prev, r_prev2, r0, r_prev, mu), kpm::Error);
+  EXPECT_THROW(spmmv_combine_dot(a, 1, r_prev, r_prev2, r0, r_prev2, mu), kpm::Error);
+  EXPECT_THROW(spmmv_combine_dot2(a, 1, r_prev, r_prev2, r_prev, dots), kpm::Error);
   std::vector<double> bad(5, 1.0);
-  EXPECT_THROW((void)kpm::linalg::spmv_combine_dot(a, bad, r_prev2, r0, out), kpm::Error);
-  EXPECT_THROW((void)kpm::linalg::spmv_combine_dot2(a, r_prev, bad, out), kpm::Error);
+  EXPECT_THROW(spmmv_combine_dot(a, 1, bad, r_prev2, r0, out, mu), kpm::Error);
+  EXPECT_THROW(spmmv_combine_dot2(a, 1, r_prev, bad, out, dots), kpm::Error);
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include "lattice/hamiltonian.hpp"
 #include "lattice/lattice.hpp"
 #include "linalg/spectral_transform.hpp"
+#include "obs/counters.hpp"
+#include "obs/report.hpp"
 
 namespace {
 
@@ -38,6 +40,38 @@ TEST(EstimatorStats, MeanMatchesEngineMoments) {
   CpuMomentEngine engine;
   const auto r = engine.compute(op, p);  // same 8 instances (streams 0..7)
   for (std::size_t n = 0; n < 12; ++n) EXPECT_NEAR(stats.mean[n], r.mu[n], 1e-12);
+}
+
+// The estimator runs the reference engines' group recursion, so at every B
+// it meters exactly what CpuMomentEngine meters over the same instances
+// (MomentsProduced aside: the estimator produces statistics, not moments).
+TEST(EstimatorStats, MetersTheEngineRecursionAtEveryBlock) {
+  Fixture f;
+  linalg::MatrixOperator op(f.h_tilde);
+  MomentParams p;
+  p.num_moments = 12;
+  p.random_vectors = 4;
+  p.realizations = 2;
+  for (const std::size_t block : {1u, 3u}) {
+    p.block_r = block;
+    obs::Report stats_report, engine_report;
+    {
+      obs::Collect collect(stats_report);
+      (void)estimate_moment_statistics(op, p, 7);
+    }
+    {
+      obs::Collect collect(engine_report);
+      CpuMomentEngine engine;
+      (void)engine.compute(op, p, 7);
+    }
+    EXPECT_EQ(stats_report.counters.get(obs::Counter::InstancesExecuted), 7.0);
+    for (std::size_t c = 0; c < obs::kCounterCount; ++c) {
+      const auto counter = static_cast<obs::Counter>(c);
+      if (counter == obs::Counter::MomentsProduced) continue;
+      EXPECT_EQ(stats_report.counters.get(counter), engine_report.counters.get(counter))
+          << obs::to_string(counter) << " B=" << block;
+    }
+  }
 }
 
 TEST(EstimatorStats, Mu0HasZeroVarianceForRademacher) {

@@ -162,10 +162,10 @@ TEST(SellFusedKernels, CombineDotMatchesCrsBitwise) {
       r_prev2[i] = wiggle(3 * i + 5);
       r0[i] = wiggle(7 * i + 1);
     }
-    std::vector<double> next_crs(d), next_sell(d);
-    const double mu_crs = kpm::linalg::spmv_combine_dot(crs, r_prev, r_prev2, r0, next_crs);
-    const double mu_sell = kpm::linalg::spmv_combine_dot(sell, r_prev, r_prev2, r0, next_sell);
-    EXPECT_EQ(mu_sell, mu_crs) << "d=" << d;
+    std::vector<double> next_crs(d), next_sell(d), mu_crs(1), mu_sell(1);
+    kpm::linalg::spmmv_combine_dot(crs, 1, r_prev, r_prev2, r0, next_crs, mu_crs);
+    kpm::linalg::spmmv_combine_dot(sell, 1, r_prev, r_prev2, r0, next_sell, mu_sell);
+    EXPECT_EQ(mu_sell[0], mu_crs[0]) << "d=" << d;
     for (std::size_t i = 0; i < d; ++i) EXPECT_EQ(next_sell[i], next_crs[i]);
   }
 }
@@ -180,10 +180,11 @@ TEST(SellFusedKernels, CombineDot2MatchesCrsBitwise) {
     r_prev2[i] = wiggle(11 * i + 3);
   }
   std::vector<double> next_crs(d), next_sell(d);
-  const auto dots_crs = kpm::linalg::spmv_combine_dot2(crs, r_prev, r_prev2, next_crs);
-  const auto dots_sell = kpm::linalg::spmv_combine_dot2(sell, r_prev, r_prev2, next_sell);
-  EXPECT_EQ(dots_sell.next_prev, dots_crs.next_prev);
-  EXPECT_EQ(dots_sell.prev_prev, dots_crs.prev_prev);
+  std::vector<kpm::linalg::PairedDots> dots_crs(1), dots_sell(1);
+  kpm::linalg::spmmv_combine_dot2(crs, 1, r_prev, r_prev2, next_crs, dots_crs);
+  kpm::linalg::spmmv_combine_dot2(sell, 1, r_prev, r_prev2, next_sell, dots_sell);
+  EXPECT_EQ(dots_sell[0].next_prev, dots_crs[0].next_prev);
+  EXPECT_EQ(dots_sell[0].prev_prev, dots_crs[0].prev_prev);
   for (std::size_t i = 0; i < d; ++i) EXPECT_EQ(next_sell[i], next_crs[i]);
 }
 

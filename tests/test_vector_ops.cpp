@@ -153,9 +153,9 @@ TEST(FusedKernels, DenseSpmvCombineDotMatchesUnfusedBitwise) {
     chebyshev_combine(hx, r_prev2, expected_next);
     const double expected_mu = dot(r0, expected_next);
 
-    std::vector<double> r_next(d);
-    const double mu = spmv_combine_dot(a, r_prev, r_prev2, r0, r_next);
-    EXPECT_EQ(mu, expected_mu) << "d=" << d;  // bitwise, not approximate
+    std::vector<double> r_next(d), mu(1);
+    spmmv_combine_dot(a, 1, r_prev, r_prev2, r0, r_next, mu);  // one vector: B = 1
+    EXPECT_EQ(mu[0], expected_mu) << "d=" << d;  // bitwise, not approximate
     for (std::size_t i = 0; i < d; ++i) EXPECT_EQ(r_next[i], expected_next[i]);
   }
 }
@@ -175,32 +175,34 @@ TEST(FusedKernels, DenseSpmvCombineDot2MatchesUnfusedBitwise) {
   const double expected_pp = dot(r_prev, r_prev);
 
   std::vector<double> r_next(d);
-  const auto dots = spmv_combine_dot2(a, r_prev, r_prev2, r_next);
-  EXPECT_EQ(dots.next_prev, expected_np);
-  EXPECT_EQ(dots.prev_prev, expected_pp);
+  std::vector<PairedDots> dots(1);
+  spmmv_combine_dot2(a, 1, r_prev, r_prev2, r_next, dots);
+  EXPECT_EQ(dots[0].next_prev, expected_np);
+  EXPECT_EQ(dots[0].prev_prev, expected_pp);
   for (std::size_t i = 0; i < d; ++i) EXPECT_EQ(r_next[i], expected_next[i]);
 }
 
 TEST(FusedKernels, RejectsAliasedOutput) {
   const std::size_t d = 4;
   const auto a = dense_example(d);
-  std::vector<double> r_prev(d, 1.0), r_prev2(d, 1.0), r0(d, 1.0);
+  std::vector<double> r_prev(d, 1.0), r_prev2(d, 1.0), r0(d, 1.0), mu(1);
+  std::vector<PairedDots> dots(1);
   // The output must be a distinct buffer: the SpMV gathers r_prev while
   // r_next is being written.
-  EXPECT_THROW((void)spmv_combine_dot(a, r_prev, r_prev2, r0, r_prev), kpm::Error);
-  EXPECT_THROW((void)spmv_combine_dot(a, r_prev, r_prev2, r0, r_prev2), kpm::Error);
-  EXPECT_THROW((void)spmv_combine_dot2(a, r_prev, r_prev2, r_prev), kpm::Error);
-  EXPECT_THROW((void)spmv_combine_dot2(a, r_prev, r_prev2, r_prev2), kpm::Error);
+  EXPECT_THROW(spmmv_combine_dot(a, 1, r_prev, r_prev2, r0, r_prev, mu), kpm::Error);
+  EXPECT_THROW(spmmv_combine_dot(a, 1, r_prev, r_prev2, r0, r_prev2, mu), kpm::Error);
+  EXPECT_THROW(spmmv_combine_dot2(a, 1, r_prev, r_prev2, r_prev, dots), kpm::Error);
+  EXPECT_THROW(spmmv_combine_dot2(a, 1, r_prev, r_prev2, r_prev2, dots), kpm::Error);
 }
 
 TEST(FusedKernels, RejectsSizeMismatch) {
   const auto a = dense_example(4);
-  std::vector<double> good(4, 1.0), bad(3, 1.0), out(4);
-  EXPECT_THROW((void)spmv_combine_dot(a, bad, good, good, out), kpm::Error);
-  EXPECT_THROW((void)spmv_combine_dot(a, good, bad, good, out), kpm::Error);
-  EXPECT_THROW((void)spmv_combine_dot(a, good, good, bad, out), kpm::Error);
+  std::vector<double> good(4, 1.0), bad(3, 1.0), out(4), mu(1);
+  EXPECT_THROW(spmmv_combine_dot(a, 1, bad, good, good, out, mu), kpm::Error);
+  EXPECT_THROW(spmmv_combine_dot(a, 1, good, bad, good, out, mu), kpm::Error);
+  EXPECT_THROW(spmmv_combine_dot(a, 1, good, good, bad, out, mu), kpm::Error);
   std::vector<double> out_bad(3);
-  EXPECT_THROW((void)spmv_combine_dot(a, good, good, good, out_bad), kpm::Error);
+  EXPECT_THROW(spmmv_combine_dot(a, 1, good, good, good, out_bad, mu), kpm::Error);
 }
 
 }  // namespace
