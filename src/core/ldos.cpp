@@ -1,6 +1,7 @@
 #include "core/ldos.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -13,18 +14,20 @@
 namespace kpm::core {
 namespace {
 
-/// Runs the Chebyshev recursions from the unit vectors of sites [first,
-/// first + b) as one blocked group, adding member j's <e_j|r_k> into
-/// mu_rows[j*n + k].  Each start vector counts as one instance, the role a
-/// random vector plays in the stochastic engines; one site is a group of one.
-void accumulate_site_group(const linalg::MatrixOperator& h, std::size_t first, std::size_t b,
+/// Runs the Chebyshev recursions from the unit vectors of `sites` as one
+/// blocked group, adding member j's <e_j|r_k> into mu_rows[j*n + k].  Each
+/// start vector counts as one instance, the role a random vector plays in
+/// the stochastic engines; one site is a group of one, and a site may appear
+/// more than once.
+void accumulate_site_group(const linalg::MatrixOperator& h, std::span<const std::size_t> sites,
                            GroupWorkspace& ws, std::size_t n, std::span<double> mu_rows) {
   const std::size_t d = h.dim();
+  const std::size_t b = sites.size();
   const std::size_t len = d * b;
   const auto sub = [len](std::vector<double>& v) { return std::span<double>(v.data(), len); };
   const std::span<double> dv(ws.dots.data(), b);
   std::fill(ws.r0.begin(), ws.r0.begin() + static_cast<std::ptrdiff_t>(len), 0.0);
-  for (std::size_t j = 0; j < b; ++j) ws.r0[(first + j) * b + j] = 1.0;
+  for (std::size_t j = 0; j < b; ++j) ws.r0[sites[j] * b + j] = 1.0;
 
   obs::add(obs::Counter::InstancesExecuted, static_cast<double>(b));
   std::copy(ws.r0.begin(), ws.r0.begin() + static_cast<std::ptrdiff_t>(len), ws.r_prev2.begin());
@@ -52,16 +55,25 @@ void accumulate_site_group(const linalg::MatrixOperator& h, std::size_t first, s
 
 }  // namespace
 
+std::vector<double> ldos_moments_sites(const linalg::MatrixOperator& h_tilde,
+                                       std::span<const std::size_t> sites,
+                                       std::size_t num_moments) {
+  KPM_REQUIRE(!sites.empty(), "ldos_moments_sites: need at least one site");
+  KPM_REQUIRE(std::all_of(sites.begin(), sites.end(),
+                          [&](std::size_t site) { return site < h_tilde.dim(); }),
+              "ldos_moments_sites: site out of range");
+  KPM_REQUIRE(num_moments >= 1, "ldos_moments_sites: need at least one moment");
+  obs::ScopedSpan span("ldos.moments");
+  obs::add(obs::Counter::MomentsProduced, static_cast<double>(sites.size() * num_moments));
+  GroupWorkspace ws(h_tilde.dim(), sites.size());
+  std::vector<double> mu(sites.size() * num_moments, 0.0);
+  accumulate_site_group(h_tilde, sites, ws, num_moments, mu);
+  return mu;
+}
+
 std::vector<double> ldos_moments(const linalg::MatrixOperator& h_tilde, std::size_t site,
                                  std::size_t num_moments) {
-  KPM_REQUIRE(site < h_tilde.dim(), "ldos_moments: site out of range");
-  KPM_REQUIRE(num_moments >= 1, "ldos_moments: need at least one moment");
-  obs::ScopedSpan span("ldos.moments");
-  obs::add(obs::Counter::MomentsProduced, static_cast<double>(num_moments));
-  GroupWorkspace ws(h_tilde.dim(), 1);
-  std::vector<double> mu(num_moments, 0.0);
-  accumulate_site_group(h_tilde, site, 1, ws, num_moments, mu);
-  return mu;
+  return ldos_moments_sites(h_tilde, std::span<const std::size_t>(&site, 1), num_moments);
 }
 
 DosCurve ldos_curve(const linalg::MatrixOperator& h_tilde,
@@ -84,10 +96,12 @@ std::vector<double> deterministic_trace_moments(const linalg::MatrixOperator& h_
   // are summed in site order, so the result does not depend on B.
   GroupWorkspace ws(d, block);
   std::vector<double> rows(block * n);
+  std::vector<std::size_t> sites(block);
   for (std::size_t first = 0; first < d; first += block) {
     const std::size_t b = std::min(block, d - first);
+    std::iota(sites.begin(), sites.begin() + static_cast<std::ptrdiff_t>(b), first);
     std::fill(rows.begin(), rows.end(), 0.0);
-    accumulate_site_group(h_tilde, first, b, ws, n, rows);
+    accumulate_site_group(h_tilde, std::span<const std::size_t>(sites.data(), b), ws, n, rows);
     for (std::size_t j = 0; j < b; ++j) {
       const double* row = rows.data() + j * n;
       for (std::size_t k = 0; k < n; ++k) mu[k] += row[k];

@@ -18,8 +18,18 @@
 namespace kpm::core {
 
 /// Computes the N deterministic moments mu_n^site = <site|T_n(H~)|site>.
+/// A one-site call of `ldos_moments_sites`.
 [[nodiscard]] std::vector<double> ldos_moments(const linalg::MatrixOperator& h_tilde,
                                                std::size_t site, std::size_t num_moments);
+
+/// Computes the LDOS moments of every site in `sites` as ONE blocked group:
+/// each recursion step streams the matrix once for all of them (SpMMV).
+/// Returns the rows back to back; row j, mu[j*N, j*N + N), belongs to
+/// sites[j] and is bitwise equal to ldos_moments(h_tilde, sites[j], N) at
+/// any group size.  Sites may repeat; an empty span is an error.
+[[nodiscard]] std::vector<double> ldos_moments_sites(const linalg::MatrixOperator& h_tilde,
+                                                     std::span<const std::size_t> sites,
+                                                     std::size_t num_moments);
 
 /// Convenience: reconstructs the LDOS curve at `site`.
 [[nodiscard]] DosCurve ldos_curve(const linalg::MatrixOperator& h_tilde,

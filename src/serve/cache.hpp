@@ -124,6 +124,10 @@ class MomentCache {
   /// modeled recompute cost as `cost_saved_ns`.
   [[nodiscard]] const std::vector<double>* find(const MomentKey& key);
 
+  /// True when `key` is resident.  A probe, not a use: counts no hit or
+  /// miss and leaves the LRU order alone.
+  [[nodiscard]] bool contains(const MomentKey& key) const { return entries_.contains(key); }
+
   /// Stores `mu` under `key` (which must not be present), evicting entries
   /// per the policy while over budget.  `recompute_seconds` is the modeled
   /// engine cost of rebuilding `mu` from scratch (the cost-aware policy's

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <sstream>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/error.hpp"
@@ -96,6 +97,13 @@ struct Server::Queued {
 };
 
 namespace {
+
+/// Most LDOS cache misses computed in one site group: a batch head plus up
+/// to seven queued requests.  8 is one of the SpMMV kernels' compile-time
+/// table widths (register-resident accumulators); a width of 16 was no
+/// faster per site and served fewer serve-replay requests per second
+/// (docs/performance.md, "LDOS site groups").
+constexpr std::size_t kLdosGroupWidth = 8;
 
 std::size_t reconstruct_points(const Request& req) {
   if (const auto* s = std::get_if<SigmaRequest>(&req)) return s->sigma.points;
@@ -363,8 +371,9 @@ std::vector<Response> Server::run(const std::vector<Request>& requests) {
     queue.push_back(q);
   };
 
-  // Moments plus the timeline price when this shard runs the simulated GPU
-  // engine (timeline_priced == false means "charge the roofline estimate").
+  // DoS or sigma moments plus the timeline price when this shard runs the
+  // simulated GPU engine (timeline_priced == false means "charge the
+  // roofline estimate").  LDOS misses run as site groups (below).
   struct ComputedMu {
     std::vector<double> mu;
     double engine_seconds = 0.0;
@@ -372,35 +381,65 @@ std::vector<Response> Server::run(const std::vector<Request>& requests) {
   };
   auto compute_mu = [&](const Request& req, const Model& m,
                         std::size_t served_n) -> ComputedMu {
-    const RequestBase& b = base_of(req);
-    switch (kind_of(req)) {
-      case RequestKind::Dos: {
-        core::MomentParams p = b.moments;
-        p.num_moments = served_n;
-        core::MomentComputeOptions opt;
-        if (config_.pricing == BatchPricing::GpuTimeline) {
-          opt.engine = core::EngineKind::Gpu;
-          opt.gpu = config_.gpu;
-          core::MomentResult result = core::compute_moments(*m.op, p, opt);
-          // model_seconds is the gpusim device critical path plus context
-          // setup — the engine also emitted its timeline into the report.
-          return {std::move(result.mu), result.model_seconds, true};
-        }
-        opt.engine = b.engine;
-        opt.cpu_threads = static_cast<int>(config_.workers);
-        return {core::compute_moments(*m.op, p, opt).mu, 0.0, false};
-      }
-      case RequestKind::Ldos:
-        return {core::ldos_moments(*m.op, std::get<LdosRequest>(req).site, served_n), 0.0,
-                false};
-      case RequestKind::Sigma: {
-        const auto& s = std::get<SigmaRequest>(req);
-        core::MomentParams p = b.moments;
-        p.num_moments = served_n;
-        return {core::conductivity_moments(*m.op, *m.current(s.axis).op, p).mu, 0.0, false};
-      }
+    core::MomentParams p = base_of(req).moments;
+    p.num_moments = served_n;
+    if (const auto* s = std::get_if<SigmaRequest>(&req))
+      return {core::conductivity_moments(*m.op, *m.current(s->axis).op, p).mu, 0.0, false};
+    core::MomentComputeOptions opt;
+    if (config_.pricing == BatchPricing::GpuTimeline) {
+      opt.engine = core::EngineKind::Gpu;
+      opt.gpu = config_.gpu;
+      core::MomentResult result = core::compute_moments(*m.op, p, opt);
+      // model_seconds is the gpusim device critical path plus context
+      // setup — the engine also emitted its timeline into the report.
+      return {std::move(result.mu), result.model_seconds, true};
     }
-    return {};
+    opt.engine = base_of(req).engine;
+    opt.cpu_threads = static_cast<int>(config_.workers);
+    return {core::compute_moments(*m.op, p, opt).mu, 0.0, false};
+  };
+
+  // Rows of queued LDOS requests computed ahead of time in another head's
+  // site group, keyed by moment key.  A row leaves when a request with its
+  // key reaches the head and misses the cache, or when its last queued
+  // request expires, so it never outlives the queue.
+  std::unordered_map<MomentKey, std::vector<double>, MomentKeyHash> ldos_rows;
+
+  // The moments of the LDOS head qorder[0], which missed the cache: its
+  // precomputed row, or one site group of the head plus up to
+  // kLdosGroupWidth - 1 queued LDOS requests taken in service order.  A
+  // member shares the head's model content and served N, has a key of its
+  // own within the group, is not resident in the cache and has no row yet.
+  // Only the head's row is returned; the others wait in ldos_rows, and the
+  // modeled schedule still charges each request its own miss.
+  auto ldos_head_moments = [&](const std::vector<std::size_t>& qorder,
+                               const Model& m) -> std::vector<double> {
+    const MomentKey& head = queue[qorder[0]].key;
+    if (const auto it = ldos_rows.find(head); it != ldos_rows.end()) {
+      std::vector<double> row = std::move(it->second);
+      ldos_rows.erase(it);
+      return row;
+    }
+    std::vector<const MomentKey*> group{&head};
+    for (std::size_t k = 1; k < qorder.size() && group.size() < kLdosGroupWidth; ++k) {
+      const MomentKey& key = queue[qorder[k]].key;
+      if (key.kind != RequestKind::Ldos || key.content != head.content ||
+          key.num_moments != head.num_moments || cache_.contains(key) ||
+          ldos_rows.contains(key) ||
+          std::any_of(group.begin(), group.end(), [&](const MomentKey* g) { return *g == key; }))
+        continue;
+      group.push_back(&key);
+    }
+    std::vector<std::size_t> sites;
+    for (const MomentKey* key : group) sites.push_back(static_cast<std::size_t>(key->detail));
+    const std::size_t n = head.num_moments;
+    const std::vector<double> rows = core::ldos_moments_sites(*m.op, sites, n);
+    const auto row = [&](std::size_t j) {
+      return std::vector<double>(rows.begin() + static_cast<std::ptrdiff_t>(j * n),
+                                 rows.begin() + static_cast<std::ptrdiff_t>((j + 1) * n));
+    };
+    for (std::size_t j = 1; j < group.size(); ++j) ldos_rows.emplace(*group[j], row(j));
+    return row(0);
   };
 
   auto serve_batch = [&] {
@@ -416,7 +455,12 @@ std::vector<Response> Server::run(const std::vector<Request>& requests) {
         resp.finish_seconds = t0;
         stats_.expired += 1;
         obs::add(obs::Counter::ServeShedExpired, 1.0);
+        const MomentKey key = it->key;
         it = queue.erase(it);
+        // Its precomputed row goes too, unless a queued request still has its key.
+        const auto same_key = [&](const Queued& q) { return q.key == key; };
+        if (ldos_rows.contains(key) && std::none_of(queue.begin(), queue.end(), same_key))
+          ldos_rows.erase(key);
       } else {
         ++it;
       }
@@ -451,12 +495,18 @@ std::vector<Response> Server::run(const std::vector<Request>& requests) {
     const bool hit = mu != nullptr;
     double engine_cost = head.engine_seconds;
     if (!hit) {
-      ComputedMu computed = compute_mu(head_req, model, head.served_n);
-      if (computed.timeline_priced) {
-        engine_cost = computed.engine_seconds;
-        obs::add(obs::Counter::ServeGpuPricedBatches, 1.0);
+      std::vector<double> fresh;
+      if (head.key.kind == RequestKind::Ldos) {
+        fresh = ldos_head_moments(qorder, model);
+      } else {
+        ComputedMu computed = compute_mu(head_req, model, head.served_n);
+        if (computed.timeline_priced) {
+          engine_cost = computed.engine_seconds;
+          obs::add(obs::Counter::ServeGpuPricedBatches, 1.0);
+        }
+        fresh = std::move(computed.mu);
       }
-      mu = &cache_.insert(head.key, std::move(computed.mu), engine_cost);
+      mu = &cache_.insert(head.key, std::move(fresh), engine_cost);
     }
 
     double service = hit ? 0.0 : engine_cost;

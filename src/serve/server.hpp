@@ -22,7 +22,10 @@
 //      reconstruction parameters;
 //   4. serve: moment cache lookup, engine run on a miss, then per-request
 //      reconstruction fanned out across the worker pool with sharded
-//      deterministic counters;
+//      deterministic counters.  An LDOS miss runs as one blocked site
+//      group with up to seven queued LDOS misses of the same model and N;
+//      their moments wait, outside the cache, until each reaches the head,
+//      so lookups, inserts and the schedule are those of one run per miss;
 //   5. advance the simulated clock by the modeled service time — the CPU
 //      reference roofline for the moments (worker-independent by design)
 //      plus a small modeled reconstruction cost per member.

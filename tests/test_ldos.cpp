@@ -1,7 +1,9 @@
 // Tests for the local DoS and the deterministic trace.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
@@ -12,6 +14,7 @@
 #include "diag/tridiag.hpp"
 #include "lattice/hamiltonian.hpp"
 #include "lattice/lattice.hpp"
+#include "linalg/sell_matrix.hpp"
 #include "linalg/spectral_transform.hpp"
 
 namespace {
@@ -83,6 +86,61 @@ TEST(Ldos, SiteOutOfRangeThrows) {
   Fixture f;
   linalg::MatrixOperator op(f.h_tilde);
   EXPECT_THROW((void)ldos_moments(op, 27, 8), kpm::Error);
+}
+
+/// Sites of one b-wide group over dim d: site 0, site d - 1 (from b = 2),
+/// distinct interior sites, and from b = 3 a repeat of site 0 last.
+std::vector<std::size_t> group_sites(std::size_t b, std::size_t d) {
+  std::vector<std::size_t> sites(b);
+  for (std::size_t j = 0; j < b; ++j) sites[j] = (j * 11) % d;
+  if (b >= 2) sites[1] = d - 1;
+  if (b >= 3) sites[b - 1] = 0;
+  return sites;
+}
+
+TEST(Ldos, SiteGroupRowsMatchSingleSiteBitwise) {
+  // Row j of a site group must be bitwise ldos_moments(sites[j]) at every
+  // width (the kernels' table widths 1, 2, 8, 16 and generic widths between
+  // and beyond them) and on every storage.  Disorder makes every site's row
+  // different, so a row landing in the wrong slot would show.
+  const auto lat = lattice::HypercubicLattice::cubic(3, 3, 4);
+  const auto h = lattice::build_tight_binding_crs(lat, {}, lattice::anderson_disorder(1.0, 5));
+  const auto crs = linalg::rescale(h, linalg::make_spectral_transform(linalg::MatrixOperator(h)));
+  const auto sell = linalg::SellMatrix::from_crs(crs, 4, 8);
+  const auto dense = crs.to_dense();
+  const std::size_t d = crs.rows(), n = 20;
+  const char* names[] = {"crs", "sell", "dense"};
+  const linalg::MatrixOperator ops[] = {linalg::MatrixOperator(crs), linalg::MatrixOperator(sell),
+                                        linalg::MatrixOperator(dense)};
+  for (std::size_t s = 0; s < 3; ++s) {
+    for (const std::size_t b : {1u, 2u, 3u, 5u, 7u, 8u, 9u, 16u, 17u}) {
+      const auto sites = group_sites(b, d);
+      const auto rows = ldos_moments_sites(ops[s], sites, n);
+      ASSERT_EQ(rows.size(), b * n);
+      for (std::size_t j = 0; j < b; ++j) {
+        const auto single = ldos_moments(ops[s], sites[j], n);
+        for (std::size_t k = 0; k < n; ++k)
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(rows[j * n + k]),
+                    std::bit_cast<std::uint64_t>(single[k]))
+              << names[s] << " b=" << b << " member " << j << " site " << sites[j] << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(Ldos, SiteGroupRejectsAnEmptySpan) {
+  Fixture f;
+  linalg::MatrixOperator op(f.h_tilde);
+  EXPECT_THROW((void)ldos_moments_sites(op, {}, 8), kpm::Error);
+}
+
+TEST(Ldos, SiteGroupRejectsAnOutOfRangeSite) {
+  Fixture f;
+  linalg::MatrixOperator op(f.h_tilde);
+  const std::vector<std::size_t> sites{0, 26, 27, 3};  // D = 27: only 27 is out of range
+  EXPECT_THROW((void)ldos_moments_sites(op, sites, 8), kpm::Error);
+  const std::vector<std::size_t> in_range{0, 26, 3};
+  EXPECT_NO_THROW((void)ldos_moments_sites(op, in_range, 8));
 }
 
 TEST(DeterministicTrace, MatchesExactMoments) {

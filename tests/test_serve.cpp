@@ -9,8 +9,12 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/ldos.hpp"
+#include "core/reconstruct.hpp"
 #include "lattice/hamiltonian.hpp"
 #include "lattice/lattice.hpp"
+#include "linalg/spectral_transform.hpp"
+#include "obs/counters.hpp"
 #include "obs/report.hpp"
 #include "serve/cache.hpp"
 #include "serve/replay.hpp"
@@ -170,6 +174,39 @@ TEST(MomentCache, OversizedPassthroughDoesNotPerturbRecency) {
   EXPECT_NE(cache.find(k3), nullptr);
 }
 
+TEST(MomentCache, ContainsCountsNothing) {
+  // contains() is a probe, not a use: no hit, no miss, no obs counter, and
+  // the LRU order (hence the next eviction victim) stays as it was.
+  obs::Report report;
+  {
+    obs::Collect collect(report);
+    serve::MomentCache cache(2 * 8 * sizeof(double));
+    serve::MomentKey k1, k2, k3;
+    k1.content = 1;
+    k2.content = 2;
+    k3.content = 3;
+    (void)cache.insert(k1, std::vector<double>(8, 1.0), 1.0);
+    (void)cache.insert(k2, std::vector<double>(8, 2.0), 1.0);  // k1 is now LRU
+    EXPECT_TRUE(cache.contains(k1));
+    EXPECT_TRUE(cache.contains(k2));
+    EXPECT_FALSE(cache.contains(k3));
+    EXPECT_EQ(cache.stats().hits, 0u);
+    EXPECT_EQ(cache.stats().misses, 0u);
+    EXPECT_EQ(cache.stats().cost_saved_ns, 0u);
+
+    (void)cache.insert(k3, std::vector<double>(8, 3.0));  // overflow: evicts LRU
+    EXPECT_FALSE(cache.contains(k1)) << "probing k1 must not have made it recent";
+    EXPECT_TRUE(cache.contains(k2));
+    EXPECT_TRUE(cache.contains(k3));
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(cache.stats().hits, 0u);
+    EXPECT_EQ(cache.stats().misses, 0u);
+  }
+  EXPECT_EQ(report.counters[obs::Counter::ServeCacheHits], 0.0);
+  EXPECT_EQ(report.counters[obs::Counter::ServeCacheMisses], 0.0);
+  EXPECT_EQ(report.counters[obs::Counter::ServeCacheEvictions], 1.0);
+}
+
 TEST(MomentCache, ZeroBudgetDisablesCaching) {
   serve::MomentCache cache(0);
   serve::MomentKey k;
@@ -227,6 +264,118 @@ TEST(Serve, ReplayIsBitIdenticalAtAnyWorkerCount) {
       EXPECT_EQ(curve_checksum(r), curve_checksum(e)) << "id " << r.id;
     }
   }
+}
+
+serve::LdosRequest ldos_request(std::uint64_t id, double arrival, std::size_t site,
+                               std::size_t n) {
+  serve::LdosRequest r;
+  r.id = id;
+  r.model = "m";
+  r.arrival_seconds = arrival;
+  r.moments.num_moments = n;
+  r.reconstruct.points = 24;
+  r.site = site;
+  return r;
+}
+
+/// LDOS-only burst in which site groups form.  Id 1 runs alone; then id 20
+/// jumps the queue by priority and heads a group of eight at N = 64 with
+/// ids 2, 5, 7, 8, 9, 10 and 11.  Left out of it: id 3 (its key is resident
+/// since id 1), id 4 (N = 32) and id 6 (id 5's key; it coalesces with id 5
+/// later).  Id 4 heads a group with ids 14, 15 and 16 at N = 32, id 12
+/// one with id 13, and id 7 expires before its turn, so its row is dropped.
+std::vector<serve::Request> ldos_group_workload() {
+  struct Spec {
+    std::uint64_t id;
+    std::size_t site, n;
+  };
+  const Spec burst[] = {{2, 1, 64},  {3, 0, 64},   {4, 1, 32},   {5, 2, 64},  {6, 2, 64},
+                        {7, 3, 64},  {8, 4, 64},   {9, 5, 64},   {10, 6, 64}, {11, 7, 64},
+                        {12, 8, 64}, {13, 9, 64},  {14, 10, 32}, {15, 11, 32}, {16, 0, 32}};
+  std::vector<serve::Request> reqs{ldos_request(1, 0.0, 0, 64)};
+  for (const Spec& s : burst) {
+    auto r = ldos_request(s.id, 1e-6, s.site, s.n);
+    if (s.id == 7) r.deadline_seconds = 2.5e-5;  // after id 20's batch, before its turn
+    reqs.push_back(r);
+  }
+  auto urgent = ldos_request(20, 1e-6, 20, 64);
+  urgent.priority = 1;
+  reqs.push_back(urgent);
+  return reqs;
+}
+
+TEST(Serve, LdosSiteGroupsKeepScheduleAndCurves) {
+  const auto h = square_hamiltonian();
+  const auto transform = linalg::make_spectral_transform(linalg::MatrixOperator(h));
+  const auto h_tilde = linalg::rescale(h, transform);
+  const linalg::MatrixOperator op(h_tilde);
+  const auto requests = ldos_group_workload();
+  serve::ServeConfig config = small_config();
+  config.max_queue = 32;
+
+  std::vector<std::string> fingerprints;
+  for (const std::size_t workers : {1u, 4u}) {
+    config.workers = workers;
+    obs::Report report;
+    std::vector<serve::Response> responses;
+    serve::ServeStats stats;
+    {
+      obs::Collect collect(report);
+      serve::Server server(config);
+      server.register_model("m", h);
+      responses = server.run(requests);
+      stats = server.stats();
+      report.sections.push_back({"serve", server.section_json()});
+    }
+    fingerprints.push_back(obs::deterministic_fingerprint(report));
+    const std::string& section = report.sections.back().body;
+
+    // The workload's premises: the jump, the resident key, the coalesced
+    // duplicate and the expiry.
+    ASSERT_EQ(responses.size(), requests.size());
+    const auto by_id = [&](std::uint64_t id) -> const serve::Response& {
+      for (const auto& r : responses)
+        if (r.id == id) return r;
+      throw kpm::Error("no response for id " + std::to_string(id));
+    };
+    EXPECT_EQ(by_id(20).batch, 1u);
+    EXPECT_TRUE(by_id(3).cache_hit);
+    EXPECT_TRUE(by_id(6).coalesced);
+    EXPECT_EQ(by_id(7).status, serve::ResponseStatus::Expired);
+    EXPECT_EQ(stats.expired, 1u);
+
+    // (a) Schedule, cache accounting and curves are byte for byte those of
+    // one recursion per miss (recorded before site groups existed).
+    EXPECT_EQ(serve::fnv1a64(section.data(), section.size()), 0x27170d64a91aed65ULL)
+        << "workers=" << workers;
+
+    // (b) Every served curve is the one-site recursion's, bit for bit.
+    double per_miss_steps = 0.0;
+    for (std::size_t i = 0; i < responses.size(); ++i) {  // both in id order
+      const auto& r = responses[i];
+      const auto& req = std::get<serve::LdosRequest>(requests[i]);
+      ASSERT_EQ(req.id, r.id);
+      if (r.status != serve::ResponseStatus::Ok) continue;
+      const auto curve = core::reconstruct_dos(core::ldos_moments(op, req.site, r.num_moments),
+                                               transform, req.reconstruct);
+      EXPECT_EQ(serve::checksum_doubles(r.curve.energy), serve::checksum_doubles(curve.energy))
+          << "id " << r.id;
+      EXPECT_EQ(serve::checksum_doubles(r.curve.density), serve::checksum_doubles(curve.density))
+          << "id " << r.id;
+      if (!r.cache_hit && !r.coalesced) per_miss_steps += static_cast<double>(r.num_moments - 2);
+    }
+
+    // (c) Groups formed: fewer fused passes than one recursion per miss, and
+    // one start vector per miss plus the expired member's dropped row.
+    const double misses = static_cast<double>(stats.cache.misses);
+    EXPECT_EQ(misses, 14.0);
+    EXPECT_LT(report.counters[obs::Counter::FusedCalls], per_miss_steps);
+    EXPECT_EQ(report.counters[obs::Counter::FusedCalls], 3.0 * (64 - 2) + (32 - 2))
+        << "groups {1}, {20, 2, 5, 7, 8, 9, 10, 11}, {4, 14, 15, 16} and {12, 13}";
+    EXPECT_EQ(report.counters[obs::Counter::InstancesExecuted], misses + 1.0);
+  }
+  // (d) Worker-invariant, counters included.
+  EXPECT_EQ(fingerprints[0], fingerprints[1]);
 }
 
 TEST(Serve, CacheHitServesColdComputeBytesExactly) {

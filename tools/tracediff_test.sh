@@ -12,10 +12,12 @@
 #                       nonzero exit and at least one FAIL line.
 #
 # usage: tracediff_test.sh <kpmcli> <tracediff> <golden-trace-dir>
+# Relative arguments are taken from the current directory.
 set -e
-kpmcli=$1
-tracediff=$2
-golden=$3
+absolute() { case $1 in /*) echo "$1" ;; *) echo "$(pwd)/$1" ;; esac; }
+kpmcli=$(absolute "$1")
+tracediff=$(absolute "$2")
+golden=$(absolute "$3")
 
 a="$golden/cluster_a.trace.json"
 b="$golden/cluster_b.trace.json"
