@@ -198,9 +198,7 @@ class AverageConductivityKernel final : public gpusim::Kernel {
 
 GpuConductivityEngine::GpuConductivityEngine(GpuEngineConfig config)
     : config_(std::move(config)) {
-  config_.device.validate();
-  KPM_REQUIRE(config_.block_size > 0 && config_.block_size % 32 == 0,
-              "GpuConductivityEngine: block_size must be a positive multiple of the warp size");
+  config_.validate();
 }
 
 ConductivityMoments GpuConductivityEngine::compute(const linalg::MatrixOperator& h_tilde,
@@ -235,8 +233,7 @@ ConductivityMoments GpuConductivityEngine::compute(const linalg::MatrixOperator&
     device.launch(cfg, fill, cost_scale);
   }
   {
-    cfg.shared_bytes = std::min<std::size_t>(config_.device.shared_mem_per_sm / 2,
-                                             2 * config_.block_size * sizeof(double) * 4);
+    cfg.shared_bytes = config_.staging_bytes(sizeof(double));
     ConductivityBlockKernel rec(params, h_dev.ref(), a_dev.ref(), executed,
                                 config_.device.l2_cache_bytes, r0, beta, psi_work, mu_partial);
     device.launch(cfg, rec, cost_scale);

@@ -18,23 +18,24 @@ MomentStatistics estimate_moment_statistics(const linalg::MatrixOperator& h_tild
 
   // Per-instance normalized moments mu_n^(k) = <r0|r_n> / D, from the
   // reference engines' own group recursion (and metered like it); the
-  // accumulation below runs in instance order, so blocking changes nothing.
+  // driver folds them in instance order, so blocking changes nothing.
   std::vector<double> sum(n, 0.0), sum_sq(n, 0.0);
   const std::size_t block = params.block_r;
-  GroupWorkspace ws(d, block);
-  std::vector<double> mu_rows(block * n);
-  for (std::size_t first = 0; first < instances; first += block) {
-    const std::size_t b = std::min(block, instances - first);
-    std::fill(mu_rows.begin(), mu_rows.end(), 0.0);
-    accumulate_group(h_tilde, params, first, b, ws, mu_rows);
-    for (std::size_t j = 0; j < b; ++j) {
-      for (std::size_t k = 0; k < n; ++k) {
-        const double v = mu_rows[j * n + k] / static_cast<double>(d);
-        sum[k] += v;
-        sum_sq[k] += v * v;
-      }
-    }
-  }
+  run_groups(
+      instances, block, n, 1, nullptr,
+      [&] {
+        return [&, ws = GroupWorkspace(d, block)](std::size_t first, std::size_t b,
+                                                  std::span<double> rows) mutable {
+          accumulate_group(h_tilde, params, first, b, ws, rows);
+        };
+      },
+      [&](std::span<const double> row) {
+        for (std::size_t k = 0; k < n; ++k) {
+          const double v = row[k] / static_cast<double>(d);
+          sum[k] += v;
+          sum_sq[k] += v * v;
+        }
+      });
 
   MomentStatistics stats;
   stats.instances = instances;

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
-#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/moments_cpu.hpp"
-#include "linalg/fused_kernels.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 
@@ -21,36 +19,10 @@ namespace {
 /// more than once.
 void accumulate_site_group(const linalg::MatrixOperator& h, std::span<const std::size_t> sites,
                            GroupWorkspace& ws, std::size_t n, std::span<double> mu_rows) {
-  const std::size_t d = h.dim();
   const std::size_t b = sites.size();
-  const std::size_t len = d * b;
-  const auto sub = [len](std::vector<double>& v) { return std::span<double>(v.data(), len); };
-  const std::span<double> dv(ws.dots.data(), b);
-  std::fill(ws.r0.begin(), ws.r0.begin() + static_cast<std::ptrdiff_t>(len), 0.0);
+  std::fill(ws.r0.begin(), ws.r0.begin() + static_cast<std::ptrdiff_t>(h.dim() * b), 0.0);
   for (std::size_t j = 0; j < b; ++j) ws.r0[sites[j] * b + j] = 1.0;
-
-  obs::add(obs::Counter::InstancesExecuted, static_cast<double>(b));
-  std::copy(ws.r0.begin(), ws.r0.begin() + static_cast<std::ptrdiff_t>(len), ws.r_prev2.begin());
-  obs::meter_stream_bytes(2.0 * static_cast<double>(len) * sizeof(double));
-  linalg::block_dot(sub(ws.r0), sub(ws.r0), b, dv);
-  for (std::size_t j = 0; j < b; ++j) {
-    mu_rows[j * n] += dv[j];
-    obs::meter_dot(d);
-  }
-  if (n == 1) return;
-  linalg::spmmv_multiply(h, b, sub(ws.r0), sub(ws.r_prev));
-  linalg::block_dot(sub(ws.r0), sub(ws.r_prev), b, dv);
-  for (std::size_t j = 0; j < b; ++j) {
-    mu_rows[j * n + 1] += dv[j];
-    obs::meter_dot(d);
-  }
-  for (std::size_t k = 2; k < n; ++k) {
-    linalg::spmmv_combine_dot(h, b, sub(ws.r_prev), sub(ws.r_prev2), sub(ws.r0), sub(ws.r_next),
-                              dv);
-    for (std::size_t j = 0; j < b; ++j) mu_rows[j * n + k] += dv[j];
-    std::swap(ws.r_prev2, ws.r_prev);
-    std::swap(ws.r_prev, ws.r_next);
-  }
+  run_recursion(h, b, n, ws, mu_rows);
 }
 
 }  // namespace
@@ -94,19 +66,19 @@ std::vector<double> deterministic_trace_moments(const linalg::MatrixOperator& h_
   std::vector<double> mu(n, 0.0);
   // Basis sweep: `block` unit vectors share each matrix stream.  Member rows
   // are summed in site order, so the result does not depend on B.
-  GroupWorkspace ws(d, block);
-  std::vector<double> rows(block * n);
-  std::vector<std::size_t> sites(block);
-  for (std::size_t first = 0; first < d; first += block) {
-    const std::size_t b = std::min(block, d - first);
-    std::iota(sites.begin(), sites.begin() + static_cast<std::ptrdiff_t>(b), first);
-    std::fill(rows.begin(), rows.end(), 0.0);
-    accumulate_site_group(h_tilde, std::span<const std::size_t>(sites.data(), b), ws, n, rows);
-    for (std::size_t j = 0; j < b; ++j) {
-      const double* row = rows.data() + j * n;
-      for (std::size_t k = 0; k < n; ++k) mu[k] += row[k];
-    }
-  }
+  run_groups(
+      d, block, n, 1, nullptr,
+      [&] {
+        return [&, ws = GroupWorkspace(d, block), sites = std::vector<std::size_t>(block)](
+                   std::size_t first, std::size_t b, std::span<double> rows) mutable {
+          std::iota(sites.begin(), sites.begin() + static_cast<std::ptrdiff_t>(b), first);
+          accumulate_site_group(h_tilde, std::span<const std::size_t>(sites.data(), b), ws, n,
+                                rows);
+        };
+      },
+      [&](std::span<const double> row) {
+        for (std::size_t k = 0; k < n; ++k) mu[k] += row[k];
+      });
   for (double& m : mu) m /= static_cast<double>(d);
   return mu;
 }

@@ -41,9 +41,7 @@ class FillBasisKernel final : public gpusim::Kernel {
 }  // namespace
 
 GpuLdosEngine::GpuLdosEngine(GpuEngineConfig config) : config_(std::move(config)) {
-  config_.device.validate();
-  KPM_REQUIRE(config_.block_size > 0 && config_.block_size % 32 == 0,
-              "GpuLdosEngine: block_size must be a positive multiple of the warp size");
+  config_.validate();
 }
 
 LdosMoments GpuLdosEngine::compute(const linalg::MatrixOperator& h_tilde,
@@ -75,8 +73,7 @@ LdosMoments GpuLdosEngine::compute(const linalg::MatrixOperator& h_tilde,
   {
     MomentParams params;  // only num_moments matters for the recursion
     params.num_moments = num_moments;
-    cfg.shared_bytes = std::min<std::size_t>(config_.device.shared_mem_per_sm / 2,
-                                             2 * config_.block_size * sizeof(double) * 4);
+    cfg.shared_bytes = config_.staging_bytes(sizeof(double));
     RecursionBlockKernel rec(params, h_dev.ref(), count, config_.device.l2_cache_bytes, r0,
                              work_a, work_b, mu_dev);
     device.launch(cfg, rec);

@@ -4,13 +4,11 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "core/moments_cpu.hpp"
 #include "cpumodel/roofline.hpp"
 #include "gpusim/cost_model.hpp"
 #include "linalg/shard.hpp"
-#include "obs/parallel.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "rng/distributions.hpp"
@@ -79,14 +77,13 @@ void sharded_block_dot(const linalg::ShardedMatrix& sm,
   }
 }
 
-/// One blocked sharded recursion over instances [first, first + b): the
-/// sharded mirror of moments_cpu's accumulate_group, metering the same
-/// GLOBAL totals (the counters are partition-invariant by construction).
-/// `fill_r0` fills the owned slots of every shard's r0 working vector.
-template <typename Fill>
+/// One blocked sharded recursion of b members whose start vectors fill the
+/// owned slots of every shard's ws.r0: the sharded mirror of moments_cpu's
+/// run_recursion, with the same n = 1 stop, metering the same GLOBAL
+/// totals (the counters are partition-invariant by construction).
 void accumulate_sharded_group(const linalg::ShardedMatrix& sm,
-                              const linalg::MatrixOperator& op, std::size_t b, Fill&& fill_r0,
-                              std::size_t n, std::span<double> mu_rows, ShardWorkspace& ws) {
+                              const linalg::MatrixOperator& op, std::size_t b, std::size_t n,
+                              std::span<double> mu_rows, ShardWorkspace& ws) {
   const std::size_t d = op.dim();
   const auto dd = static_cast<double>(d);
   const auto bb = static_cast<double>(b);
@@ -101,8 +98,13 @@ void accumulate_sharded_group(const linalg::ShardedMatrix& sm,
   const std::span<linalg::DotLanes> lanes(ws.lanes.data(), b);
 
   obs::add(obs::Counter::InstancesExecuted, bb);
-  fill_r0(ws.r0);
   exchange_ghosts(sm, ws.r0, b);
+  for (std::size_t p = 0; p < nodes; ++p) {
+    const std::size_t len = sm.shard(p).working_size() * b;
+    std::copy(ws.r0[p].begin(), ws.r0[p].begin() + static_cast<std::ptrdiff_t>(len),
+              ws.prev2[p].begin());
+  }
+  obs::meter_stream_bytes(2.0 * dd * bb * sizeof(double));
 
   // mu~_0 = <r0 | r0>.
   sharded_block_dot(sm, ws.r0, ws.r0, b, lanes);
@@ -110,6 +112,7 @@ void accumulate_sharded_group(const linalg::ShardedMatrix& sm,
     mu_rows[j * n] += lanes[j].combine();
     obs::meter_dot(d);
   }
+  if (n == 1) return;
 
   // r1 = H~ r0, shard-local after the halo exchange above.  Metered like
   // linalg::spmmv_multiply on the global operator.
@@ -121,19 +124,11 @@ void accumulate_sharded_group(const linalg::ShardedMatrix& sm,
            static_cast<double>(op.spmv_matrix_bytes()) + 2.0 * bb * dd * sizeof(double));
   exchange_ghosts(sm, ws.prev, b);
 
-  if (n > 1) {
-    sharded_block_dot(sm, ws.r0, ws.prev, b, lanes);
-    for (std::size_t j = 0; j < b; ++j) {
-      mu_rows[j * n + 1] += lanes[j].combine();
-      obs::meter_dot(d);
-    }
+  sharded_block_dot(sm, ws.r0, ws.prev, b, lanes);
+  for (std::size_t j = 0; j < b; ++j) {
+    mu_rows[j * n + 1] += lanes[j].combine();
+    obs::meter_dot(d);
   }
-  for (std::size_t p = 0; p < nodes; ++p) {
-    const std::size_t len = sm.shard(p).working_size() * b;
-    std::copy(ws.r0[p].begin(), ws.r0[p].begin() + static_cast<std::ptrdiff_t>(len),
-              ws.prev2[p].begin());
-  }
-  obs::meter_stream_bytes(2.0 * dd * bb * sizeof(double));
 
   for (std::size_t k = 2; k < n; ++k) {
     // Unfused multiply + combine + lane-carry dot: bit-identical to the
@@ -421,76 +416,23 @@ MomentResult ClusterMomentEngine::compute(const linalg::MatrixOperator& h_tilde,
   const linalg::ShardedMatrix sm(h_tilde, dec, shard_storage);
 
   const std::size_t block = params.block_r;
-  const std::size_t groups = (executed + block - 1) / block;
 
   // Stable span name (no node/thread suffix): deterministic fingerprints of
   // a fixed decomposition must not depend on the host thread count.
   obs::ScopedSpan span("moments.cluster-sharded");
-  obs::add(obs::Counter::MomentsProduced, static_cast<double>(n));
-  Stopwatch wall;
-  std::vector<double> mu_sum(n, 0.0);
-  const bool serial_path = config_.threads == 1 || groups == 1;
   // Serial-reference per-instance modeled ticks (Core i7-930, like every
   // other engine): independent of node specs, P and threads, so histograms
   // are invariant across every cluster configuration.
   const std::uint64_t instance_ticks =
       modeled_instance_ticks(cpumodel::CpuSpec::core_i7_930(), h_tilde, n, block);
-
-  const auto run_group = [&](std::size_t g, ShardWorkspace& ws, std::span<double> rows) {
-    const std::size_t first = g * block;
-    const std::size_t b = std::min(block, executed - first);
-    accumulate_sharded_group(
-        sm, h_tilde, b,
-        [&](std::vector<std::vector<double>>& r0) {
-          fill_sharded_block(sm, params, first, b, r0);
-        },
-        n, rows, ws);
-    for (std::size_t j = 0; j < b; ++j) obs::record(obs::Histo::InstanceModelNs, instance_ticks);
-  };
-
-  if (serial_path) {
-    ShardWorkspace ws(sm, block);
-    std::vector<double> rows(block * n);
-    for (std::size_t g = 0; g < groups; ++g) {
-      std::fill(rows.begin(), rows.end(), 0.0);
-      run_group(g, ws, rows);
-      const std::size_t b = std::min(block, executed - g * block);
-      for (std::size_t j = 0; j < b; ++j) {
-        const double* row = rows.data() + j * n;
-        for (std::size_t k = 0; k < n; ++k) mu_sum[k] += row[k];
-      }
-    }
-  } else {
-    if (!pool_ || pool_->size() != static_cast<std::size_t>(config_.threads))
-      pool_ = std::make_unique<common::ThreadPool>(static_cast<std::size_t>(config_.threads));
-    // Instance-major contribution rows, summed in instance order below —
-    // the same thread-invariance contract as CpuParallelMomentEngine.
-    std::vector<double> contributions(executed * n, 0.0);
-    obs::sharded_parallel_for(
-        *pool_, groups, [&](std::size_t /*lane*/, std::size_t begin, std::size_t end) {
-          ShardWorkspace ws(sm, block);
-          const std::span<double> rows(contributions);
-          for (std::size_t g = begin; g < end; ++g) {
-            const std::size_t first = g * block;
-            const std::size_t b = std::min(block, executed - first);
-            run_group(g, ws, rows.subspan(first * n, b * n));
-          }
-        });
-    for (std::size_t inst = 0; inst < executed; ++inst) {
-      const double* row = contributions.data() + inst * n;
-      for (std::size_t k = 0; k < n; ++k) mu_sum[k] += row[k];
-    }
-  }
-
-  MomentResult result;
-  result.engine = name();
-  result.instances_executed = executed;
-  result.instances_total = total;
-  result.threads_used = serial_path ? 1 : config_.threads;
-  result.wall_seconds = wall.seconds();
-  result.mu.resize(n);
-  const double denom = static_cast<double>(d) * static_cast<double>(executed);
-  for (std::size_t k = 0; k < n; ++k) result.mu[k] = mu_sum[k] / denom;
+  MomentResult result = averaged_result(name(), d, params, executed, config_.threads, &pool_, [&] {
+    return [&, ws = ShardWorkspace(sm, block)](std::size_t first, std::size_t b,
+                                               std::span<double> rows) mutable {
+      fill_sharded_block(sm, params, first, b, ws.r0);
+      accumulate_sharded_group(sm, h_tilde, b, n, rows, ws);
+      for (std::size_t j = 0; j < b; ++j) obs::record(obs::Histo::InstanceModelNs, instance_ticks);
+    };
+  });
 
   // Cost model, extrapolated to all `total` instances: full groups of
   // `block` plus one ragged group.
@@ -541,34 +483,11 @@ std::vector<double> cluster_ldos_moments(const linalg::MatrixOperator& h_tilde,
   const linalg::ShardedMatrix sm(h_tilde, dec, shard_storage);
   std::vector<double> mu(num_moments, 0.0);
 
-  const auto fill_unit = [&](std::vector<std::vector<double>>& r0) {
-    for (auto& v : r0) std::fill(v.begin(), v.end(), 0.0);
-    const std::size_t owner = dec.owner_of(site);
-    const linalg::MatrixShard& s = sm.shard(owner);
-    r0[owner][s.owned_offset() + (site - s.row_begin)] = 1.0;
-  };
-
-  if (num_moments == 1) {
-    // Degenerate n = 1: just mu_0 = <e|e> (mirrors ldos_moments' early out).
-    ShardWorkspace ws(sm, 1);
-    fill_unit(ws.r0);
-    obs::add(obs::Counter::InstancesExecuted, 1.0);
-    obs::meter_stream_bytes(2.0 * static_cast<double>(h_tilde.dim()) * sizeof(double));
-    linalg::DotLanes lanes;
-    for (std::size_t p = 0; p < sm.nodes(); ++p) {
-      const linalg::MatrixShard& s = sm.shard(p);
-      linalg::dot_lanes_carry(
-          std::span<const double>(ws.r0[p].data() + s.owned_offset(), s.local_rows()),
-          std::span<const double>(ws.r0[p].data() + s.owned_offset(), s.local_rows()),
-          s.row_begin, lanes);
-    }
-    mu[0] = lanes.combine();
-    obs::meter_dot(h_tilde.dim());
-    return mu;
-  }
-
   ShardWorkspace ws(sm, 1);
-  accumulate_sharded_group(sm, h_tilde, 1, fill_unit, num_moments, mu, ws);
+  const std::size_t owner = dec.owner_of(site);
+  const linalg::MatrixShard& s = sm.shard(owner);
+  ws.r0[owner][s.owned_offset() + (site - s.row_begin)] = 1.0;
+  accumulate_sharded_group(sm, h_tilde, 1, num_moments, mu, ws);
   return mu;
 }
 

@@ -5,11 +5,8 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/stopwatch.hpp"
-#include "common/thread_pool.hpp"
 #include "cpumodel/roofline.hpp"
 #include "linalg/fused_kernels.hpp"
-#include "obs/parallel.hpp"
 #include "obs/trace.hpp"
 #include "rng/distributions.hpp"
 
@@ -40,21 +37,34 @@ cpumodel::CpuWorkload reference_workload(const linalg::MatrixOperator& op, std::
   return grouped_workload(total, block, [&](std::size_t b) { return group_workload(op, n, b); });
 }
 
-/// mu_sum[k] += rows[j*N + k] for members j = 0 .. members - 1, in order.
-void add_rows(std::span<const double> rows, std::size_t members, std::vector<double>& mu_sum) {
-  const std::size_t n = mu_sum.size();
-  for (std::size_t j = 0; j < members; ++j)
-    for (std::size_t k = 0; k < n; ++k) mu_sum[k] += rows[j * n + k];
+/// The prologue of run_recursion, which the paired engine shares: r_prev2
+/// = r0 and mu~_0, then (n > 1) r_prev = H~ r0 and mu~_1.
+void recursion_prologue(const linalg::MatrixOperator& h_tilde, std::size_t b, std::size_t n,
+                        GroupWorkspace& ws, std::span<double> mu_rows) {
+  const std::size_t d = h_tilde.dim();
+  const std::size_t len = d * b;
+  const auto sub = [len](std::vector<double>& v) { return std::span<double>(v.data(), len); };
+  const std::span<double> dots(ws.dots.data(), b);
+  obs::add(obs::Counter::InstancesExecuted, static_cast<double>(b));
+  std::copy(ws.r0.begin(), ws.r0.begin() + static_cast<std::ptrdiff_t>(len), ws.r_prev2.begin());
+  obs::meter_stream_bytes(2.0 * static_cast<double>(len) * sizeof(double));
+  linalg::block_dot(sub(ws.r0), sub(ws.r0), b, dots);
+  for (std::size_t j = 0; j < b; ++j) {
+    mu_rows[j * n] += dots[j];
+    obs::meter_dot(d);
+  }
+  if (n == 1) return;
+  linalg::spmmv_multiply(h_tilde, b, sub(ws.r0), sub(ws.r_prev));
+  linalg::block_dot(sub(ws.r0), sub(ws.r_prev), b, dots);
+  for (std::size_t j = 0; j < b; ++j) {
+    mu_rows[j * n + 1] += dots[j];
+    obs::meter_dot(d);
+  }
 }
 
-/// The group driver of CpuMomentEngine and CpuParallelMomentEngine.
-/// Instances [0, executed) run in groups of params.block_r, formed before
-/// any distribution over threads, so the grouping (and hence every computed
-/// value) is independent of the thread count.  With `threads` > 1 and more
-/// than one group, the groups fan out over *pool, created on first use;
-/// otherwise they run in order on the calling thread.  Member rows are
-/// summed in instance order either way, so the moments are bit-identical
-/// for every B and thread count.  `roofline` prices the total workload.
+/// The reference and parallel engines: accumulate_group on every group of
+/// run_groups (serial at `threads` = 1), one InstanceModelNs sample per
+/// instance, and `roofline` pricing the total workload.
 template <typename Roofline>
 MomentResult compute_in_groups(const linalg::MatrixOperator& h_tilde, const MomentParams& params,
                                std::size_t sample_instances, const cpumodel::CpuSpec& spec,
@@ -67,67 +77,20 @@ MomentResult compute_in_groups(const linalg::MatrixOperator& h_tilde, const Mome
   const std::size_t total = params.instances();
   const std::size_t executed = resolve_sample_count(sample_instances, total);
   const std::size_t block = params.block_r;
-  const std::size_t groups = (executed + block - 1) / block;
 
   obs::ScopedSpan span(span_name);
-  obs::add(obs::Counter::MomentsProduced, static_cast<double>(n));
-  Stopwatch wall;
   // The serial per-instance modeled cost at every thread count (never the
   // parallel model), so histograms match bit-for-bit across engines.
   const std::uint64_t instance_ticks = modeled_instance_ticks(spec, h_tilde, n, block);
-  // Runs group g into `rows` (its members' zeroed rows); returns its size.
-  const auto run_group = [&](std::size_t g, GroupWorkspace& ws, std::span<double> rows) {
-    const std::size_t first = g * block;
-    const std::size_t b = std::min(block, executed - first);
-    accumulate_group(h_tilde, params, first, b, ws, rows);
-    for (std::size_t j = 0; j < b; ++j) obs::record(obs::Histo::InstanceModelNs, instance_ticks);
-    return b;
-  };
-
-  std::vector<double> mu_sum(n, 0.0);
-  const bool serial_path = threads == 1 || groups == 1;
-  if (serial_path) {
-    // No parallelism to exploit: skip the pool and contribution buffer.
-    GroupWorkspace ws(d, block);
-    std::vector<double> rows(block * n);
-    for (std::size_t g = 0; g < groups; ++g) {
-      std::fill(rows.begin(), rows.end(), 0.0);
-      add_rows(rows, run_group(g, ws, rows), mu_sum);
-    }
-  } else {
-    if (!*pool || (*pool)->size() != static_cast<std::size_t>(threads))
-      *pool = std::make_unique<common::ThreadPool>(static_cast<std::size_t>(threads));
-    // Instance-major rows, one per instance: a group's members occupy
-    // consecutive rows, so its output slice is contiguous.  The rows are
-    // summed below in instance order, as the serial path sums them.
-    // obs::sharded_parallel_for gives every lane a private counter shard and
-    // reduces them in lane order afterwards, so counter totals (exact
-    // integers) are bit-identical for any thread count too.
-    std::vector<double> contributions(executed * n, 0.0);
-    obs::sharded_parallel_for(
-        **pool, groups, [&](std::size_t /*lane*/, std::size_t begin, std::size_t end) {
-          GroupWorkspace ws(d, block);
-          for (std::size_t g = begin; g < end; ++g)
-            run_group(g, ws, std::span<double>(contributions).subspan(g * block * n));
-        });
-    add_rows(contributions, executed, mu_sum);
-  }
-
-  MomentResult result;
-  result.engine = std::move(engine);
-  result.instances_executed = executed;
-  result.instances_total = total;
-  // Report what actually executed: the serial fallback ran on one thread no
-  // matter how many were configured.
-  result.threads_used = serial_path ? 1 : threads;
-  result.wall_seconds = wall.seconds();
-
-  // (3) Average: mu_n = sum / (D * instances).  Plain division (not a
-  // reciprocal multiply) so the GPU averaging kernel matches bit-for-bit.
-  result.mu.resize(n);
-  const double denom = static_cast<double>(d) * static_cast<double>(executed);
-  for (std::size_t k = 0; k < n; ++k) result.mu[k] = mu_sum[k] / denom;
-
+  MomentResult result =
+      averaged_result(std::move(engine), d, params, executed, threads, pool, [&] {
+        return [&, ws = GroupWorkspace(d, block)](std::size_t first, std::size_t b,
+                                                  std::span<double> rows) mutable {
+          accumulate_group(h_tilde, params, first, b, ws, rows);
+          for (std::size_t j = 0; j < b; ++j)
+            obs::record(obs::Histo::InstanceModelNs, instance_ticks);
+        };
+      });
   const cpumodel::CpuStats stats = roofline(reference_workload(h_tilde, n, total, block));
   result.model_seconds = stats.seconds;
   result.compute_seconds = stats.compute_seconds;
@@ -140,34 +103,12 @@ GroupWorkspace::GroupWorkspace(std::size_t dim, std::size_t block)
     : r0(dim * block), r_prev2(dim * block), r_prev(dim * block), r_next(dim * block),
       dots(block) {}
 
-void accumulate_group(const linalg::MatrixOperator& h_tilde, const MomentParams& params,
-                      std::size_t first, std::size_t b, GroupWorkspace& ws,
-                      std::span<double> mu_rows) {
-  const std::size_t d = h_tilde.dim();
-  const std::size_t n = params.num_moments;
-  const std::size_t len = d * b;
+void run_recursion(const linalg::MatrixOperator& h_tilde, std::size_t b, std::size_t n,
+                   GroupWorkspace& ws, std::span<double> mu_rows) {
+  const std::size_t len = h_tilde.dim() * b;
   const auto sub = [len](std::vector<double>& v) { return std::span<double>(v.data(), len); };
   const std::span<double> dots(ws.dots.data(), b);
-  obs::add(obs::Counter::InstancesExecuted, static_cast<double>(b));
-  fill_random_vector_block(params, first, b, sub(ws.r0));
-
-  linalg::block_dot(sub(ws.r0), sub(ws.r0), b, dots);
-  for (std::size_t j = 0; j < b; ++j) {
-    mu_rows[j * n] += dots[j];
-    obs::meter_dot(d);
-  }
-  linalg::spmmv_multiply(h_tilde, b, sub(ws.r0), sub(ws.r_prev));
-  if (n > 1) {
-    linalg::block_dot(sub(ws.r0), sub(ws.r_prev), b, dots);
-    for (std::size_t j = 0; j < b; ++j) {
-      mu_rows[j * n + 1] += dots[j];
-      obs::meter_dot(d);
-    }
-  }
-  std::copy(ws.r0.begin(), ws.r0.begin() + static_cast<std::ptrdiff_t>(len),
-            ws.r_prev2.begin());
-  obs::meter_stream_bytes(2.0 * static_cast<double>(len) * sizeof(double));
-
+  recursion_prologue(h_tilde, b, n, ws, mu_rows);
   for (std::size_t k = 2; k < n; ++k) {
     linalg::spmmv_combine_dot(h_tilde, b, sub(ws.r_prev), sub(ws.r_prev2), sub(ws.r0),
                               sub(ws.r_next), dots);
@@ -175,6 +116,13 @@ void accumulate_group(const linalg::MatrixOperator& h_tilde, const MomentParams&
     std::swap(ws.r_prev2, ws.r_prev);
     std::swap(ws.r_prev, ws.r_next);
   }
+}
+
+void accumulate_group(const linalg::MatrixOperator& h_tilde, const MomentParams& params,
+                      std::size_t first, std::size_t b, GroupWorkspace& ws,
+                      std::span<double> mu_rows) {
+  fill_random_vector_block(params, first, b, std::span<double>(ws.r0.data(), h_tilde.dim() * b));
+  run_recursion(h_tilde, b, params.num_moments, ws, mu_rows);
 }
 
 // Definition of the per-step workload model declared in moments_cpu.hpp.
@@ -287,13 +235,8 @@ MomentResult CpuPairedMomentEngine::compute(const linalg::MatrixOperator& h_tild
   const std::size_t n = params.num_moments;
   const std::size_t total = params.instances();
   const std::size_t executed = resolve_sample_count(sample_instances, total);
-
   const std::size_t block = params.block_r;
-
   obs::ScopedSpan span("moments." + name());
-  obs::add(obs::Counter::MomentsProduced, static_cast<double>(n));
-  Stopwatch wall;
-  std::vector<double> mu_sum(n, 0.0);
 
   // Moments n = 0..N-1 from Chebyshev vectors up to index ceil(N/2):
   // the k-th iteration (k >= 1) yields mu_{2k} and mu_{2k+1}.
@@ -317,70 +260,35 @@ MomentResult CpuPairedMomentEngine::compute(const linalg::MatrixOperator& h_tild
       static_cast<double>(block));
 
   // One matrix stream advances all members of a group through the
-  // half-length recursion; member rows are summed in instance order, so the
-  // moments do not depend on B.
-  GroupWorkspace ws(d, block);
-  std::vector<double> rows(block * n);
-  std::vector<double> mu0s(block), mu1s(block);
-  std::vector<linalg::PairedDots> dots2(block);
-  const std::size_t groups = (executed + block - 1) / block;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::size_t first = g * block;
-    const std::size_t b = std::min(block, executed - first);
-    const std::size_t len = d * b;
-    const auto sub = [len](std::vector<double>& v) { return std::span<double>(v.data(), len); };
-    const std::span<double> dots(ws.dots.data(), b);
-    std::fill(rows.begin(), rows.end(), 0.0);
-    obs::add(obs::Counter::InstancesExecuted, static_cast<double>(b));
-    fill_random_vector_block(params, first, b, sub(ws.r0));
-
-    linalg::block_dot(sub(ws.r0), sub(ws.r0), b, dots);
-    for (std::size_t j = 0; j < b; ++j) {
-      mu0s[j] = dots[j];
-      rows[j * n] += dots[j];
-      obs::meter_dot(d);
-    }
-    linalg::spmmv_multiply(h_tilde, b, sub(ws.r0), sub(ws.r_prev));  // r_1
-    linalg::block_dot(sub(ws.r0), sub(ws.r_prev), b, dots);
-    for (std::size_t j = 0; j < b; ++j) {
-      mu1s[j] = dots[j];
-      if (n > 1) rows[j * n + 1] += dots[j];
-      obs::meter_dot(d);
-    }
-    std::copy(ws.r0.begin(), ws.r0.begin() + static_cast<std::ptrdiff_t>(len),
-              ws.r_prev2.begin());  // r_0
-    obs::meter_stream_bytes(2.0 * static_cast<double>(len) * sizeof(double));
-
-    for (std::size_t k = 1; k < half; ++k) {
-      // Here r_prev = r_k, r_prev2 = r_{k-1}.  One fused pass advances
-      // r_{k+1} = 2 H~ r_k - r_{k-1} and yields both dot products:
-      //   mu_{2k}   = 2 <r_k | r_k>     - mu_0
-      //   mu_{2k+1} = 2 <r_{k+1} | r_k> - mu_1.
-      linalg::spmmv_combine_dot2(h_tilde, b, sub(ws.r_prev), sub(ws.r_prev2), sub(ws.r_next),
-                                 std::span<linalg::PairedDots>(dots2.data(), b));
-      const std::size_t even = 2 * k;
-      const std::size_t odd = 2 * k + 1;
-      for (std::size_t j = 0; j < b; ++j) {
-        if (even < n) rows[j * n + even] += 2.0 * dots2[j].prev_prev - mu0s[j];
-        if (odd < n) rows[j * n + odd] += 2.0 * dots2[j].next_prev - mu1s[j];
+  // half-length recursion after the shared f64 prologue.
+  MomentResult result = averaged_result(name(), d, params, executed, 1, nullptr, [&] {
+    return [&, ws = GroupWorkspace(d, block), dots2 = std::vector<linalg::PairedDots>(block)](
+               std::size_t first, std::size_t b, std::span<double> rows) mutable {
+      const std::size_t len = d * b;
+      const auto sub = [len](std::vector<double>& v) { return std::span<double>(v.data(), len); };
+      fill_random_vector_block(params, first, b, sub(ws.r0));
+      recursion_prologue(h_tilde, b, n, ws, rows);
+      for (std::size_t k = 1; k < half; ++k) {
+        // Here r_prev = r_k, r_prev2 = r_{k-1}.  One fused pass advances
+        // r_{k+1} = 2 H~ r_k - r_{k-1} and yields both dot products:
+        //   mu_{2k}   = 2 <r_k | r_k>     - mu_0
+        //   mu_{2k+1} = 2 <r_{k+1} | r_k> - mu_1,
+        // where mu_0 and mu_1 are the prologue's entries of the zeroed rows.
+        linalg::spmmv_combine_dot2(h_tilde, b, sub(ws.r_prev), sub(ws.r_prev2), sub(ws.r_next),
+                                   std::span<linalg::PairedDots>(dots2.data(), b));
+        const std::size_t even = 2 * k;
+        const std::size_t odd = 2 * k + 1;
+        for (std::size_t j = 0; j < b; ++j) {
+          double* row = rows.data() + j * n;
+          if (even < n) row[even] += 2.0 * dots2[j].prev_prev - row[0];
+          if (odd < n) row[odd] += 2.0 * dots2[j].next_prev - row[1];
+        }
+        std::swap(ws.r_prev2, ws.r_prev);
+        std::swap(ws.r_prev, ws.r_next);
       }
-      std::swap(ws.r_prev2, ws.r_prev);
-      std::swap(ws.r_prev, ws.r_next);
-    }
-
-    add_rows(rows, b, mu_sum);
-    for (std::size_t j = 0; j < b; ++j) obs::record(obs::Histo::InstanceModelNs, instance_ticks);
-  }
-
-  MomentResult result;
-  result.engine = name();
-  result.instances_executed = executed;
-  result.instances_total = total;
-  result.wall_seconds = wall.seconds();
-
-  result.mu.resize(n);
-  const double denom = static_cast<double>(d) * static_cast<double>(executed);
-  for (std::size_t k = 0; k < n; ++k) result.mu[k] = mu_sum[k] / denom;
+      for (std::size_t j = 0; j < b; ++j) obs::record(obs::Histo::InstanceModelNs, instance_ticks);
+    };
+  });
 
   const cpumodel::CpuStats stats =
       cpumodel::model_cpu_time(spec_, grouped_workload(total, block, paired_group_work));

@@ -5,9 +5,9 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/stopwatch.hpp"
 #include "cpumodel/roofline.hpp"
 #include "core/moments_cpu.hpp"
+#include "linalg/row_access.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "rng/distributions.hpp"
@@ -22,56 +22,18 @@ namespace {
 /// `block` floats, reused across steps.
 void spmmv_f32(const linalg::MatrixOperator& op, std::size_t block,
                const std::vector<float>& x, std::vector<float>& y, std::vector<float>& acc) {
-  const std::size_t dim = op.dim();
-  const auto row_block = [&](std::size_t r, auto&& each_entry) {
-    std::fill(acc.begin(), acc.end(), 0.0f);
-    each_entry();
-    float* yr = y.data() + r * block;
-    for (std::size_t j = 0; j < block; ++j) yr[j] = acc[j];
-  };
-  const auto fma_block = [&](double v, std::size_t c) {
-    const float vf = static_cast<float>(v);
-    const float* xc = x.data() + c * block;
-    for (std::size_t j = 0; j < block; ++j) acc[j] += vf * xc[j];
-  };
-  if (op.storage() == linalg::Storage::Dense) {
-    const auto& m = *op.dense();
-    for (std::size_t r = 0; r < dim; ++r)
-      row_block(r, [&] {
-        const auto row = m.row(r);
-        for (std::size_t c = 0; c < dim; ++c) fma_block(row[c], c);
+  linalg::visit_rows(op, [&](const auto& rows_of) {
+    for (std::size_t r = 0; r < op.dim(); ++r) {
+      std::fill(acc.begin(), acc.end(), 0.0f);
+      rows_of.row_entries(r, [&](double v, std::size_t c) {
+        const float vf = static_cast<float>(v);
+        const float* xc = x.data() + c * block;
+        for (std::size_t j = 0; j < block; ++j) acc[j] += vf * xc[j];
       });
-  } else if (op.storage() == linalg::Storage::Crs) {
-    const auto& m = *op.crs();
-    const auto row_ptr = m.row_ptr();
-    const auto col_idx = m.col_idx();
-    const auto values = m.values();
-    for (std::size_t r = 0; r < dim; ++r)
-      row_block(r, [&] {
-        for (auto k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-          const auto kk = static_cast<std::size_t>(k);
-          fma_block(values[kk], static_cast<std::size_t>(col_idx[kk]));
-        }
-      });
-  } else {
-    const auto& m = *op.sell();
-    const auto chunk_ptr = m.chunk_ptr();
-    const auto row_len = m.row_len();
-    const auto slot_of = m.slot_of();
-    const auto col_idx = m.col_idx();
-    const auto values = m.values();
-    const std::size_t c_sz = m.chunk_size();
-    for (std::size_t r = 0; r < dim; ++r)
-      row_block(r, [&] {
-        const auto slot = static_cast<std::size_t>(slot_of[r]);
-        const auto base = static_cast<std::size_t>(chunk_ptr[slot / c_sz]);
-        const std::size_t lane = slot % c_sz;
-        for (std::size_t j = 0; j < static_cast<std::size_t>(row_len[slot]); ++j) {
-          const std::size_t k = base + j * c_sz + lane;
-          fma_block(values[k], static_cast<std::size_t>(col_idx[k]));
-        }
-      });
-  }
+      float* yr = y.data() + r * block;
+      for (std::size_t j = 0; j < block; ++j) yr[j] = acc[j];
+    }
+  });
 }
 
 /// Per-member left-fold float dots of two interleaved blocks.
@@ -101,9 +63,6 @@ MomentResult CpuMomentEngineF32::compute(const linalg::MatrixOperator& h_tilde,
   const std::size_t executed = resolve_sample_count(sample_instances, total);
 
   obs::ScopedSpan span("moments." + name());
-  obs::add(obs::Counter::MomentsProduced, static_cast<double>(n));
-  Stopwatch wall;
-  std::vector<double> mu_sum(n, 0.0);  // cross-instance reduction in double
 
   // Per-call obs meters in binary32: 4-byte vector elements, half the
   // matrix traffic of the double engines, identical flop counts.
@@ -124,76 +83,57 @@ MomentResult CpuMomentEngineF32::compute(const linalg::MatrixOperator& h_tilde,
 
   // A group of `b` instances advances through one unfused recursion; the
   // matrix is narrowed/streamed once per step for the whole group, and a
-  // single instance is a group of one.  Member rows are summed in instance
-  // order after each group, so the moments do not depend on B.
+  // single instance is a group of one.  The cross-instance reduction runs
+  // in double.
   const std::size_t block = params.block_r;
-  std::vector<float> b0(d * block), b_prev2(d * block), b_prev(d * block), b_next(d * block),
-      dots(block), acc(block);
-  std::vector<double> rows(block * n);
-  const std::size_t groups = (executed + block - 1) / block;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::size_t first = g * block;
-    const std::size_t b = std::min(block, executed - first);
-    b0.resize(d * b);
-    b_prev2.resize(d * b);
-    b_prev.resize(d * b);
-    b_next.resize(d * b);
-    dots.resize(b);
-    acc.resize(b);
-    std::fill(rows.begin(), rows.end(), 0.0);
-    obs::add(obs::Counter::InstancesExecuted, static_cast<double>(b));
-    obs::add(obs::Counter::RngElements, static_cast<double>(b) * dd_obs);
-    for (std::size_t j = 0; j < b; ++j)
-      for (std::size_t i = 0; i < d; ++i)
-        b0[i * b + j] = static_cast<float>(
-            rng::draw_random_element(params.vector_kind, params.seed, first + j, i));
+  MomentResult result = averaged_result(name(), d, params, executed, 1, nullptr, [&] {
+    return [&, b0 = std::vector<float>(), b_prev2 = std::vector<float>(),
+            b_prev = std::vector<float>(), b_next = std::vector<float>(),
+            dots = std::vector<float>(), acc = std::vector<float>()](
+               std::size_t first, std::size_t b, std::span<double> rows) mutable {
+      for (std::vector<float>* v : {&b0, &b_prev2, &b_prev, &b_next}) v->resize(d * b);
+      dots.resize(b);
+      acc.resize(b);
+      obs::add(obs::Counter::InstancesExecuted, static_cast<double>(b));
+      obs::add(obs::Counter::RngElements, static_cast<double>(b) * dd_obs);
+      for (std::size_t j = 0; j < b; ++j)
+        for (std::size_t i = 0; i < d; ++i)
+          b0[i * b + j] = static_cast<float>(
+              rng::draw_random_element(params.vector_kind, params.seed, first + j, i));
 
-    block_dot_f32(b0, b0, b, d, dots);
-    for (std::size_t j = 0; j < b; ++j) {
-      rows[j * n] += static_cast<double>(dots[j]);
-      meter_dot32();
-    }
-    spmmv_f32(h_tilde, b, b0, b_prev, acc);
-    meter_spmmv32(b);
-    if (n > 1) {
+      block_dot_f32(b0, b0, b, d, dots);
+      for (std::size_t j = 0; j < b; ++j) {
+        rows[j * n] += static_cast<double>(dots[j]);
+        meter_dot32();
+      }
+      spmmv_f32(h_tilde, b, b0, b_prev, acc);
+      meter_spmmv32(b);
       block_dot_f32(b0, b_prev, b, d, dots);
       for (std::size_t j = 0; j < b; ++j) {
         rows[j * n + 1] += static_cast<double>(dots[j]);
         meter_dot32();
       }
-    }
-    b_prev2 = b0;
-    obs::add(obs::Counter::BytesStreamed, 2.0 * static_cast<double>(b) * dd_obs * sizeof(float));
+      b_prev2 = b0;
+      obs::add(obs::Counter::BytesStreamed,
+               2.0 * static_cast<double>(b) * dd_obs * sizeof(float));
 
-    for (std::size_t k = 2; k < n; ++k) {
-      spmmv_f32(h_tilde, b, b_prev, b_next, acc);
-      meter_spmmv32(b);
-      for (std::size_t i = 0; i < d * b; ++i) b_next[i] = 2.0f * b_next[i] - b_prev2[i];
-      obs::add(obs::Counter::Flops, 2.0 * static_cast<double>(b) * dd_obs);
-      obs::add(obs::Counter::BytesStreamed, 3.0 * static_cast<double>(b) * dd_obs * sizeof(float));
-      block_dot_f32(b0, b_next, b, d, dots);
-      for (std::size_t j = 0; j < b; ++j) {
-        rows[j * n + k] += static_cast<double>(dots[j]);
-        meter_dot32();
+      for (std::size_t k = 2; k < n; ++k) {
+        spmmv_f32(h_tilde, b, b_prev, b_next, acc);
+        meter_spmmv32(b);
+        for (std::size_t i = 0; i < d * b; ++i) b_next[i] = 2.0f * b_next[i] - b_prev2[i];
+        obs::add(obs::Counter::Flops, 2.0 * static_cast<double>(b) * dd_obs);
+        obs::add(obs::Counter::BytesStreamed,
+                 3.0 * static_cast<double>(b) * dd_obs * sizeof(float));
+        block_dot_f32(b0, b_next, b, d, dots);
+        for (std::size_t j = 0; j < b; ++j) {
+          rows[j * n + k] += static_cast<double>(dots[j]);
+          meter_dot32();
+        }
+        std::swap(b_prev2, b_prev);
+        std::swap(b_prev, b_next);
       }
-      std::swap(b_prev2, b_prev);
-      std::swap(b_prev, b_next);
-    }
-
-    for (std::size_t j = 0; j < b; ++j) {
-      const double* row = rows.data() + j * n;
-      for (std::size_t k = 0; k < n; ++k) mu_sum[k] += row[k];
-    }
-  }
-
-  MomentResult result;
-  result.engine = name();
-  result.instances_executed = executed;
-  result.instances_total = total;
-  result.wall_seconds = wall.seconds();
-  result.mu.resize(n);
-  const double denom = static_cast<double>(d) * static_cast<double>(executed);
-  for (std::size_t k = 0; k < n; ++k) result.mu[k] = mu_sum[k] / denom;
+    };
+  });
 
   // Cost model: same operation counts as the reference engine but with
   // 4-byte elements (half the traffic, half the working set) and double

@@ -1,6 +1,5 @@
 #include "core/moments_gpu.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
@@ -12,12 +11,16 @@
 
 namespace kpm::core {
 
-GpuMomentEngine::GpuMomentEngine(GpuEngineConfig config) : config_(std::move(config)) {
-  config_.device.validate();
-  KPM_REQUIRE(config_.block_size > 0 && config_.block_size % 32 == 0,
+void GpuEngineConfig::validate() const {
+  device.validate();
+  KPM_REQUIRE(block_size > 0 && block_size % 32 == 0,
               "GpuEngineConfig: block_size must be a positive multiple of the warp size");
-  KPM_REQUIRE(config_.context_setup_seconds >= 0,
+  KPM_REQUIRE(context_setup_seconds >= 0,
               "GpuEngineConfig: context_setup_seconds must be non-negative");
+}
+
+GpuMomentEngine::GpuMomentEngine(GpuEngineConfig config) : config_(std::move(config)) {
+  config_.validate();
   KPM_REQUIRE(!config_.paired_moments || config_.mapping == GpuMapping::InstancePerBlock,
               "GpuEngineConfig: paired_moments requires the instance-per-block mapping");
 }
@@ -66,9 +69,7 @@ MomentResult GpuMomentEngine::compute(const linalg::MatrixOperator& h_tilde,
     gpusim::ExecConfig cfg;
     cfg.grid = gpusim::Dim3{static_cast<std::uint32_t>(total)};
     cfg.block = gpusim::Dim3{config_.block_size};
-    // Shared staging region: a tile of x plus a tile of the matrix stream.
-    cfg.shared_bytes = std::min<std::size_t>(config_.device.shared_mem_per_sm / 2,
-                                             2 * config_.block_size * sizeof(double) * 4);
+    cfg.shared_bytes = config_.staging_bytes(sizeof(double));
     if (config_.paired_moments) {
       RecursionBlockPairedKernel rec(params, h_dev.ref(), executed,
                                      config_.device.l2_cache_bytes, r0, work_a, work_b,

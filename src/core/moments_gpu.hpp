@@ -7,6 +7,8 @@
 // moments are bit-identical to the CPU reference engine.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
@@ -29,6 +31,18 @@ struct GpuEngineConfig {
   /// module and warming the allocator — dominant at small N (Fig. 7's
   /// rising speedup); charged once per compute().
   double context_setup_seconds = 50e-3;
+
+  /// Throws kpm::Error unless the device spec is valid, block_size is a
+  /// positive multiple of the warp size and context_setup_seconds >= 0.
+  void validate() const;
+
+  /// Shared staging bytes of one recursion block (a tile of x plus a tile
+  /// of the matrix stream) for `element_bytes`-wide vector elements,
+  /// capped at half an SM's shared memory.
+  [[nodiscard]] std::size_t staging_bytes(std::size_t element_bytes) const {
+    return std::min<std::size_t>(device.shared_mem_per_sm / 2,
+                                 2 * block_size * element_bytes * 4);
+  }
 };
 
 /// Moment engine running on the simulated GPU.

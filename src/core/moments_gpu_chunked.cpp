@@ -63,9 +63,7 @@ class AccumulateMomentsKernel final : public gpusim::Kernel {
 
 ChunkedGpuMomentEngine::ChunkedGpuMomentEngine(ChunkedGpuEngineConfig config)
     : config_(std::move(config)) {
-  config_.base.device.validate();
-  KPM_REQUIRE(config_.base.block_size > 0 && config_.base.block_size % 32 == 0,
-              "ChunkedGpuEngineConfig: block_size must be a positive multiple of the warp size");
+  config_.base.validate();
 }
 
 std::string ChunkedGpuMomentEngine::name() const {
@@ -145,9 +143,7 @@ MomentResult ChunkedGpuMomentEngine::compute(const linalg::MatrixOperator& h_til
     device.wait_event(s_rec, fill_done[cur]);
     chunk_cfg.grid = gpusim::Dim3{static_cast<std::uint32_t>(count)};
     if (config_.base.mapping == GpuMapping::InstancePerBlock) {
-      chunk_cfg.shared_bytes = std::min<std::size_t>(
-          config_.base.device.shared_mem_per_sm / 2,
-          2 * config_.base.block_size * sizeof(double) * 4);
+      chunk_cfg.shared_bytes = config_.base.staging_bytes(sizeof(double));
       RecursionBlockKernel rec(params, h_dev.ref(), count, config_.base.device.l2_cache_bytes,
                                r0[cur], work_a, work_b, mu_tilde);
       device.launch(chunk_cfg, rec, cost_scale, s_rec);

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/stopwatch.hpp"
 #include "core/moments_cpu.hpp"
 #include "linalg/fused_kernels.hpp"
 #include "obs/counters.hpp"
@@ -46,14 +45,24 @@ void spmmv_z(const linalg::CrsMatrixZ& h, std::size_t b, std::span<const Complex
                2.0 * static_cast<double>(b) * static_cast<double>(h.rows()) * sizeof(Complex));
 }
 
-/// Runs a group of `b` instances' complex Chebyshev recursions in one
-/// blocked pass, adding member j's Re<r0_j|r_n_j> into mu_rows[j*n, j*n +
-/// n); a single start vector is a group of one.  Counted as b instances.
-void hermitian_group(const linalg::CrsMatrixZ& h, std::size_t b, std::span<const Complex> r0,
-                     std::vector<Complex>& prev2, std::vector<Complex>& prev,
-                     std::vector<Complex>& next, std::size_t n, std::span<double> mu_rows) {
+/// Complex vectors of one group's recursion: `block` interleaved members
+/// (a ragged last group of b < block uses the length d * b prefixes).
+struct HermitianWorkspace {
+  std::vector<Complex> r0, prev2, prev, next;
+  HermitianWorkspace(std::size_t d, std::size_t block)
+      : r0(d * block), prev2(d * block), prev(d * block), next(d * block) {}
+};
+
+/// Runs a group of `b` instances' complex Chebyshev recursions from the
+/// start vectors in ws.r0 in one blocked pass, adding member j's
+/// Re<r0_j|r_n_j> into mu_rows[j*n, j*n + n); a single start vector is a
+/// group of one.  Counted as b instances.
+void hermitian_group(const linalg::CrsMatrixZ& h, std::size_t b, HermitianWorkspace& ws,
+                     std::size_t n, std::span<double> mu_rows) {
   const std::size_t d = h.rows();
   const double dd = static_cast<double>(d);
+  const std::size_t len = d * b;
+  const std::span<const Complex> r0(ws.r0.data(), len);
   // Per-member single-lane left fold, the same order as the fused kernel's.
   auto block_dot_re = [&](std::span<const Complex> v, std::size_t j) {
     double acc = 0.0;
@@ -75,22 +84,21 @@ void hermitian_group(const linalg::CrsMatrixZ& h, std::size_t b, std::span<const
     meter_dot_re();
   }
   if (n == 1) return;
-  const std::size_t len = d * b;
-  spmmv_z(h, b, r0, std::span<Complex>(prev.data(), len));
+  spmmv_z(h, b, r0, std::span<Complex>(ws.prev.data(), len));
   for (std::size_t j = 0; j < b; ++j) {
-    mu_rows[j * n + 1] += block_dot_re(std::span<const Complex>(prev.data(), len), j);
+    mu_rows[j * n + 1] += block_dot_re(std::span<const Complex>(ws.prev.data(), len), j);
     meter_dot_re();
   }
-  std::copy(r0.begin(), r0.end(), prev2.begin());
+  std::copy(r0.begin(), r0.end(), ws.prev2.begin());
   obs::meter_stream_bytes(2.0 * static_cast<double>(len) * sizeof(Complex));
   std::vector<double> dots(b);
   for (std::size_t k = 2; k < n; ++k) {
-    linalg::spmmv_combine_dot_re(h, b, std::span<const Complex>(prev.data(), len),
-                                 std::span<const Complex>(prev2.data(), len), r0,
-                                 std::span<Complex>(next.data(), len), dots);
+    linalg::spmmv_combine_dot_re(h, b, std::span<const Complex>(ws.prev.data(), len),
+                                 std::span<const Complex>(ws.prev2.data(), len), r0,
+                                 std::span<Complex>(ws.next.data(), len), dots);
     for (std::size_t j = 0; j < b; ++j) mu_rows[j * n + k] += dots[j];
-    std::swap(prev2, prev);
-    std::swap(prev, next);
+    std::swap(ws.prev2, ws.prev);
+    std::swap(ws.prev, ws.next);
   }
 }
 
@@ -107,41 +115,20 @@ MomentResult HermitianMomentEngine::compute(const linalg::CrsMatrixZ& h_tilde,
   const std::size_t executed = resolve_sample_count(sample_instances, total);
 
   obs::ScopedSpan span("moments." + name());
-  obs::add(obs::Counter::MomentsProduced, static_cast<double>(n));
-  Stopwatch wall;
-  std::vector<double> mu_sum(n, 0.0);
   const std::size_t block = params.block_r;
 
-  // Groups of `block` instances share each matrix stream; member rows are
-  // summed in instance order, so the moments do not depend on B.
-  std::vector<Complex> r0(d * block), prev2(d * block), prev(d * block), next(d * block);
-  std::vector<double> rows(block * n);
-  const std::size_t groups = (executed + block - 1) / block;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::size_t first = g * block;
-    const std::size_t b = std::min(block, executed - first);
-    obs::add(obs::Counter::RngElements, static_cast<double>(d * b));
-    for (std::size_t j = 0; j < b; ++j)
-      for (std::size_t i = 0; i < d; ++i)
-        r0[i * b + j] =
-            Complex{rng::draw_random_element(params.vector_kind, params.seed, first + j, i), 0.0};
-    std::fill(rows.begin(), rows.end(), 0.0);
-    hermitian_group(h_tilde, b, std::span<const Complex>(r0.data(), d * b), prev2, prev, next,
-                    n, rows);
-    for (std::size_t j = 0; j < b; ++j) {
-      const double* row = rows.data() + j * n;
-      for (std::size_t k = 0; k < n; ++k) mu_sum[k] += row[k];
-    }
-  }
-
-  MomentResult result;
-  result.engine = name();
-  result.instances_executed = executed;
-  result.instances_total = total;
-  result.wall_seconds = wall.seconds();
-  result.mu.resize(n);
-  const double denom = static_cast<double>(d) * static_cast<double>(executed);
-  for (std::size_t k = 0; k < n; ++k) result.mu[k] = mu_sum[k] / denom;
+  // Groups of `block` instances share each matrix stream.
+  MomentResult result = averaged_result(name(), d, params, executed, 1, nullptr, [&] {
+    return [&, ws = HermitianWorkspace(d, block)](std::size_t first, std::size_t b,
+                                                  std::span<double> rows) mutable {
+      obs::add(obs::Counter::RngElements, static_cast<double>(d * b));
+      for (std::size_t j = 0; j < b; ++j)
+        for (std::size_t i = 0; i < d; ++i)
+          ws.r0[i * b + j] = Complex{
+              rng::draw_random_element(params.vector_kind, params.seed, first + j, i), 0.0};
+      hermitian_group(h_tilde, b, ws, n, rows);
+    };
+  });
   // No platform model for the complex path (extension feature): report the
   // host wall-clock as the model time.
   result.model_seconds = result.wall_seconds;
@@ -154,11 +141,11 @@ std::vector<double> ldos_moments_hermitian(const linalg::CrsMatrixZ& h_tilde, st
   KPM_REQUIRE(h_tilde.rows() == h_tilde.cols(), "ldos_moments_hermitian: matrix must be square");
   KPM_REQUIRE(site < h_tilde.rows(), "ldos_moments_hermitian: site out of range");
   KPM_REQUIRE(num_moments >= 1, "ldos_moments_hermitian: need at least one moment");
-  const std::size_t d = h_tilde.rows();
+  obs::add(obs::Counter::MomentsProduced, static_cast<double>(num_moments));
   std::vector<double> mu(num_moments, 0.0);
-  std::vector<Complex> e(d, Complex{0.0, 0.0}), prev2(d), prev(d), next(d);
-  e[site] = Complex{1.0, 0.0};
-  hermitian_group(h_tilde, 1, e, prev2, prev, next, num_moments, mu);
+  HermitianWorkspace ws(h_tilde.rows(), 1);
+  ws.r0[site] = Complex{1.0, 0.0};
+  hermitian_group(h_tilde, 1, ws, num_moments, mu);
   return mu;
 }
 
@@ -168,24 +155,25 @@ std::vector<double> deterministic_trace_moments_hermitian(const linalg::CrsMatri
   KPM_REQUIRE(num_moments >= 1, "deterministic_trace_moments_hermitian: need >= 1 moment");
   KPM_REQUIRE(h_tilde.rows() == h_tilde.cols(), "matrix must be square");
   KPM_REQUIRE(block >= 1, "deterministic_trace_moments_hermitian: block must be >= 1");
+  obs::add(obs::Counter::MomentsProduced, static_cast<double>(num_moments));
   const std::size_t d = h_tilde.rows();
   const std::size_t n = num_moments;
   std::vector<double> mu(n, 0.0);
   // Basis sweep: `block` unit vectors share each matrix stream.
-  std::vector<Complex> e(d * block), prev2(d * block), prev(d * block), next(d * block);
-  std::vector<double> rows(block * n);
-  for (std::size_t first = 0; first < d; first += block) {
-    const std::size_t b = std::min(block, d - first);
-    std::fill(e.begin(), e.begin() + static_cast<std::ptrdiff_t>(d * b), Complex{0.0, 0.0});
-    for (std::size_t j = 0; j < b; ++j) e[(first + j) * b + j] = Complex{1.0, 0.0};
-    std::fill(rows.begin(), rows.end(), 0.0);
-    hermitian_group(h_tilde, b, std::span<const Complex>(e.data(), d * b), prev2, prev, next, n,
-                    rows);
-    for (std::size_t j = 0; j < b; ++j) {
-      const double* row = rows.data() + j * n;
-      for (std::size_t k = 0; k < n; ++k) mu[k] += row[k];
-    }
-  }
+  run_groups(
+      d, block, n, 1, nullptr,
+      [&] {
+        return [&, ws = HermitianWorkspace(d, block)](std::size_t first, std::size_t b,
+                                                      std::span<double> rows) mutable {
+          std::fill(ws.r0.begin(), ws.r0.begin() + static_cast<std::ptrdiff_t>(d * b),
+                    Complex{0.0, 0.0});
+          for (std::size_t j = 0; j < b; ++j) ws.r0[(first + j) * b + j] = Complex{1.0, 0.0};
+          hermitian_group(h_tilde, b, ws, n, rows);
+        };
+      },
+      [&](std::span<const double> row) {
+        for (std::size_t k = 0; k < n; ++k) mu[k] += row[k];
+      });
   for (double& m : mu) m /= static_cast<double>(d);
   return mu;
 }

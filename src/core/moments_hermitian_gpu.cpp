@@ -202,9 +202,7 @@ class HermitianRecursionKernel final : public gpusim::Kernel {
 
 GpuHermitianMomentEngine::GpuHermitianMomentEngine(GpuEngineConfig config)
     : config_(std::move(config)) {
-  config_.device.validate();
-  KPM_REQUIRE(config_.block_size > 0 && config_.block_size % 32 == 0,
-              "GpuHermitianMomentEngine: block_size must be a positive multiple of 32");
+  config_.validate();
 }
 
 MomentResult GpuHermitianMomentEngine::compute(const linalg::CrsMatrixZ& h_tilde,
@@ -237,8 +235,7 @@ MomentResult GpuHermitianMomentEngine::compute(const linalg::CrsMatrixZ& h_tilde
     device.launch(cfg, fill, cost_scale);
   }
   {
-    cfg.shared_bytes = std::min<std::size_t>(config_.device.shared_mem_per_sm / 2,
-                                             2 * config_.block_size * sizeof(Complex) * 4);
+    cfg.shared_bytes = config_.staging_bytes(sizeof(Complex));
     HermitianRecursionKernel rec(params, h_dev, executed, config_.device.l2_cache_bytes, r0,
                                  work_a, work_b, mu_tilde);
     device.launch(cfg, rec, cost_scale);

@@ -16,11 +16,9 @@ namespace kpm::core {
 
 MultiGpuMomentEngine::MultiGpuMomentEngine(MultiGpuEngineConfig config)
     : config_(std::move(config)) {
-  config_.per_device.device.validate();
+  config_.per_device.validate();
   config_.link.validate();
   KPM_REQUIRE(config_.device_count >= 1, "MultiGpuEngineConfig: need at least one device");
-  KPM_REQUIRE(config_.per_device.block_size > 0 && config_.per_device.block_size % 32 == 0,
-              "MultiGpuEngineConfig: block_size must be a positive multiple of the warp size");
 }
 
 std::string MultiGpuMomentEngine::name() const {
@@ -84,9 +82,7 @@ MomentResult MultiGpuMomentEngine::compute(const linalg::MatrixOperator& h_tilde
       gpusim::ExecConfig cfg;
       cfg.grid = gpusim::Dim3{static_cast<std::uint32_t>(count)};
       cfg.block = gpusim::Dim3{config_.per_device.block_size};
-      cfg.shared_bytes = std::min<std::size_t>(
-          config_.per_device.device.shared_mem_per_sm / 2,
-          2 * config_.per_device.block_size * sizeof(double) * 4);
+      cfg.shared_bytes = config_.per_device.staging_bytes(sizeof(double));
       RecursionBlockKernel rec(params, h_dev.ref(), local_sample,
                                config_.per_device.device.l2_cache_bytes, r0, work_a, work_b,
                                mu_tilde);

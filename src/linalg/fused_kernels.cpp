@@ -6,6 +6,7 @@
 
 #include "common/double2.hpp"
 #include "common/error.hpp"
+#include "linalg/row_access.hpp"
 #include "linalg/spmmv_unmetered.hpp"
 #include "obs/counters.hpp"
 
@@ -77,65 +78,6 @@ void require_spmmv_preconditions(std::size_t rows, std::size_t cols, std::size_t
   KPM_REQUIRE(r_next.data() != r_prev2.data(),
               "spmmv_combine_dot: r_next must not alias r_prev2");
 }
-
-// ---------------------------------------------------------------------------
-// Row-access policies: how each storage iterates one logical row's entries.
-// Fused kernels visit rows in LOGICAL order (the dot lane of row r is
-// r mod 4, so the visit order is part of the bit-compatibility contract);
-// every policy yields a row's entries in the same order as CrsMatrix rows
-// (sorted columns), which keeps per-row accumulation bit-identical across
-// storages.  `row_entries(r, f)` calls f(value, col) per stored entry.
-
-struct CrsAccess {
-  std::span<const CrsMatrix::Index> row_ptr, col_idx;
-  std::span<const double> values;
-
-  explicit CrsAccess(const CrsMatrix& a)
-      : row_ptr(a.row_ptr()), col_idx(a.col_idx()), values(a.values()) {}
-
-  template <typename F>
-  void row_entries(std::size_t r, F&& f) const {
-    for (auto k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      f(values[kk], static_cast<std::size_t>(col_idx[kk]));
-    }
-  }
-};
-
-struct SellAccess {
-  std::span<const SellMatrix::Index> chunk_ptr, row_len, slot_of, col_idx;
-  std::span<const double> values;
-  std::size_t chunk_size;
-
-  explicit SellAccess(const SellMatrix& a)
-      : chunk_ptr(a.chunk_ptr()), row_len(a.row_len()), slot_of(a.slot_of()),
-        col_idx(a.col_idx()), values(a.values()), chunk_size(a.chunk_size()) {}
-
-  template <typename F>
-  void row_entries(std::size_t r, F&& f) const {
-    const auto slot = static_cast<std::size_t>(slot_of[r]);
-    const auto base = static_cast<std::size_t>(chunk_ptr[slot / chunk_size]);
-    const std::size_t lane = slot % chunk_size;
-    const auto len = static_cast<std::size_t>(row_len[slot]);
-    for (std::size_t j = 0; j < len; ++j) {
-      const std::size_t k = base + j * chunk_size + lane;
-      f(values[k], static_cast<std::size_t>(col_idx[k]));
-    }
-  }
-};
-
-struct DenseAccess {
-  const DenseMatrix& a;
-  std::size_t cols;
-
-  explicit DenseAccess(const DenseMatrix& m) : a(m), cols(m.cols()) {}
-
-  template <typename F>
-  void row_entries(std::size_t r, F&& f) const {
-    const auto row = a.row(r);
-    for (std::size_t c = 0; c < cols; ++c) f(row[c], c);
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Member-width dispatch for the blocked (SpMMV) kernel bodies.

@@ -19,6 +19,7 @@
 #include "linalg/decomposition.hpp"
 #include "linalg/sell_matrix.hpp"
 #include "linalg/spectral_transform.hpp"
+#include "obs/counters.hpp"
 #include "obs/report.hpp"
 
 namespace {
@@ -183,6 +184,25 @@ TEST(ClusterKpm, LdosBitIdenticalToSerial) {
   const auto one = cluster_ldos_moments(op, linalg::Decomposition::uniform(op.dim(), 2), 5, 1);
   ASSERT_EQ(one.size(), 1u);
   EXPECT_DOUBLE_EQ(one[0], 1.0);
+}
+
+TEST(ClusterKpm, LdosCountersMatchSerial) {
+  Fixture f;
+  const linalg::MatrixOperator op(f.h_tilde);
+  const auto counters = [](auto&& fn) {
+    obs::CounterSet sink;
+    obs::CounterScope scope(sink);
+    (void)fn();
+    return sink;
+  };
+  for (std::size_t n : {1u, 2u, 12u}) {
+    const auto serial = counters([&] { return ldos_moments(op, 17, n); });
+    for (std::size_t nodes : {1u, 3u}) {
+      const auto dec = linalg::Decomposition::uniform(op.dim(), nodes);
+      EXPECT_EQ(counters([&] { return cluster_ldos_moments(op, dec, 17, n); }), serial)
+          << "N=" << n << " P=" << nodes;
+    }
+  }
 }
 
 // --- Observability: counters, histograms and timelines ---------------------

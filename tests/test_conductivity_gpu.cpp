@@ -121,4 +121,18 @@ TEST(GpuConductivity, DimensionMismatchThrows) {
   EXPECT_THROW((void)gpu.compute(h, w, small_params()), kpm::Error);
 }
 
+TEST(GpuConductivity, RejectsBadConfig) {
+  GpuEngineConfig cfg;
+  cfg.block_size = 17;
+  EXPECT_THROW(GpuConductivityEngine{cfg}, kpm::Error);
+  cfg.block_size = 0;
+  EXPECT_THROW(GpuConductivityEngine{cfg}, kpm::Error);
+  cfg = GpuEngineConfig{};
+  cfg.context_setup_seconds = -1.0;
+  EXPECT_THROW(GpuConductivityEngine{cfg}, kpm::Error);
+  cfg = GpuEngineConfig{};
+  cfg.device.sm_count = 0;
+  EXPECT_THROW(GpuConductivityEngine{cfg}, kpm::Error);
+}
+
 }  // namespace

@@ -9,15 +9,22 @@
 // cost model drifts from the other.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
+#include <string>
+#include <vector>
 
+#include "core/ldos.hpp"
 #include "core/moments_cpu.hpp"
 #include "core/moments_f32.hpp"
 #include "core/moments_gpu.hpp"
 #include "core/moments_gpu_chunked.hpp"
+#include "core/moments_hermitian.hpp"
 #include "core/reconstruct.hpp"
 #include "lattice/hamiltonian.hpp"
 #include "lattice/lattice.hpp"
+#include "lattice/peierls.hpp"
+#include "linalg/hermitian_matrix.hpp"
 #include "linalg/spectral_transform.hpp"
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
@@ -224,6 +231,59 @@ TEST(GoldenMetrics, F32EngineMatchesSerialCallCounts) {
   EXPECT_EQ(f32[Counter::BytesStreamed],
             i * (n * 8.0 * d + (n - 1.0) * (mb / 2.0 + 8.0 * d) + 8.0 * d +
                  (n - 2.0) * 12.0 * d));
+}
+
+/// The call counts every blocked host loop records for `i` instances of
+/// `n` moments in groups of `block`: one r1 SpMV and (n - 2) fused steps
+/// per instance, one dot per moment, and one fused pass per group step.
+void expect_loop_counts(const obs::CounterSet& c, double i, double rng, double n,
+                        std::size_t block, double moments, const std::string& label) {
+  EXPECT_EQ(c[Counter::InstancesExecuted], i) << label;
+  EXPECT_EQ(c[Counter::RngElements], rng) << label;
+  EXPECT_EQ(c[Counter::SpmvCalls], i * (n - 1.0)) << label;
+  EXPECT_EQ(c[Counter::DotCalls], i * n) << label;
+  EXPECT_EQ(c[Counter::FusedCalls], std::ceil(i / static_cast<double>(block)) * (n - 2.0))
+      << label;
+  EXPECT_EQ(c[Counter::MomentsProduced], moments) << label;
+}
+
+TEST(GoldenMetrics, HostLoopCountsAreExactAtEveryBlock) {
+  // The Hermitian engine, both deterministic traces and LDOS site groups on
+  // D = 16 operators: I = 7 random instances, D unit starts, or B sites.
+  constexpr std::size_t kDim = 16;
+  constexpr double d = kDim;
+  constexpr double n = 12.0;
+  const auto h = lattice::build_tight_binding_crs(lattice::HypercubicLattice::chain(kDim));
+  const linalg::MatrixOperator raw(h);
+  const auto h_tilde = linalg::rescale(h, linalg::make_spectral_transform(raw));
+  const linalg::MatrixOperator op(h_tilde);
+  const auto hz = lattice::build_square_flux_crs(4, 4, 0.25);
+  const auto hz_tilde = linalg::rescale(hz, linalg::SpectralTransform(hz.gershgorin(), 0.02));
+  ASSERT_EQ(op.dim(), kDim);
+  ASSERT_EQ(hz_tilde.rows(), kDim);
+
+  for (const std::size_t block : {1u, 3u, 8u}) {
+    const std::string at = " B=" + std::to_string(block);
+    core::MomentParams p;
+    p.num_moments = 12;
+    p.random_vectors = 7;
+    p.realizations = 1;
+    p.block_r = block;
+    expect_loop_counts(collect([&] { (void)core::HermitianMomentEngine().compute(hz_tilde, p); }),
+                       7.0, 7.0 * d, n, block, n, "hermitian engine" + at);
+    expect_loop_counts(collect([&] { (void)core::deterministic_trace_moments(op, 12, block); }),
+                       d, 0.0, n, block, n, "trace" + at);
+    expect_loop_counts(
+        collect([&] { (void)core::deterministic_trace_moments_hermitian(hz_tilde, 12, block); }),
+        d, 0.0, n, block, n, "hermitian trace" + at);
+    std::vector<std::size_t> sites(block);
+    for (std::size_t j = 0; j < block; ++j) sites[j] = (5 * j) % kDim;
+    const auto b = static_cast<double>(block);
+    expect_loop_counts(collect([&] { (void)core::ldos_moments_sites(op, sites, 12); }), b, 0.0,
+                       n, block, b * n, "ldos sites" + at);
+  }
+  expect_loop_counts(collect([&] { (void)core::ldos_moments_hermitian(hz_tilde, 5, 12); }), 1.0,
+                     0.0, n, 1, n, "hermitian ldos");
 }
 
 TEST(GoldenMetrics, InstanceHistogramsAreExactAndThreadInvariant) {

@@ -141,4 +141,18 @@ TEST(ChunkedGpu, NameEncodesConfiguration) {
   EXPECT_EQ(ChunkedGpuMomentEngine(cfg).name(), "gpu-chunked-instance-per-thread-serial");
 }
 
+TEST(ChunkedGpu, RejectsBadConfig) {
+  ChunkedGpuEngineConfig cfg;
+  cfg.base.block_size = 100;
+  EXPECT_THROW(ChunkedGpuMomentEngine{cfg}, kpm::Error);
+  cfg.base.block_size = 0;
+  EXPECT_THROW(ChunkedGpuMomentEngine{cfg}, kpm::Error);
+  cfg = ChunkedGpuEngineConfig{};
+  cfg.base.context_setup_seconds = -1.0;
+  EXPECT_THROW(ChunkedGpuMomentEngine{cfg}, kpm::Error);
+  cfg = ChunkedGpuEngineConfig{};
+  cfg.base.device.sm_count = 0;
+  EXPECT_THROW(ChunkedGpuMomentEngine{cfg}, kpm::Error);
+}
+
 }  // namespace

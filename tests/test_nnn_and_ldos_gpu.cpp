@@ -107,4 +107,18 @@ TEST(GpuLdos, RejectsBadInput) {
   EXPECT_THROW((void)engine.compute(op, ok, 1), kpm::Error);
 }
 
+TEST(GpuLdos, RejectsBadConfig) {
+  core::GpuEngineConfig cfg;
+  cfg.block_size = 48;
+  EXPECT_THROW(core::GpuLdosEngine{cfg}, kpm::Error);
+  cfg.block_size = 0;
+  EXPECT_THROW(core::GpuLdosEngine{cfg}, kpm::Error);
+  cfg = core::GpuEngineConfig{};
+  cfg.context_setup_seconds = -1.0;
+  EXPECT_THROW(core::GpuLdosEngine{cfg}, kpm::Error);
+  cfg = core::GpuEngineConfig{};
+  cfg.device.sm_count = 0;
+  EXPECT_THROW(core::GpuLdosEngine{cfg}, kpm::Error);
+}
+
 }  // namespace
