@@ -6,8 +6,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "common/packs.hpp"
 #include "core/reconstruct.hpp"
 #include "lattice/hamiltonian.hpp"
 #include "lattice/lattice.hpp"
@@ -88,7 +90,8 @@ BENCHMARK(BM_SpmvCrsCubicLattice)->Arg(10)->Arg(16)->Arg(24);
 /// arXiv:1410.5242).  Bytes are the kernel's own metered model (FusedBytes
 /// of one call), so bytes_per_second is the achieved bandwidth at width B.
 /// Args: cubic lattice edge (16: the 4 KiB-per-member vectors sit in L2;
-/// 48: tens of MB, beyond L2), B, storage (0 = CRS, 1 = SELL-32-32).
+/// 48: tens of MB, beyond L2), B, storage (0 = CRS, 1 = SELL-32-32).  The
+/// label names the storage and the pack body that ran (e.g. crs/avx2).
 void BM_SpmmvCombineDot(benchmark::State& state) {
   const auto edge = static_cast<std::size_t>(state.range(0));
   const auto b = static_cast<std::size_t>(state.range(1));
@@ -117,7 +120,7 @@ void BM_SpmmvCombineDot(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(static_cast<double>(state.iterations()) *
                                                     step_bytes));
-  state.SetLabel(sell ? "sell" : "crs");
+  state.SetLabel(std::string(sell ? "sell/" : "crs/") + kpm::linalg::member_pack_body(b));
 }
 BENCHMARK(BM_SpmmvCombineDot)
     ->ArgNames({"edge", "B", "sell"})
@@ -154,9 +157,10 @@ BENCHMARK(BM_PhiloxFill)->Arg(1000)->Arg(262144);
 /// Direct (batched Clenshaw) vs FFT reconstruction of the same curve, at
 /// serve-replay's shapes.  Args: moments N, grid points M.  Items are
 /// point-terms (M * N, the Clenshaw work) for both, so their rates compare
-/// directly; ns per point-term is 1e9 / items_per_second.
+/// directly; ns per point-term is 1e9 / items_per_second.  The direct
+/// label names the Clenshaw pack body that ran (avx2 or sse2).
 template <auto Reconstruct>
-void reconstruct_bench(benchmark::State& state) {
+void reconstruct_bench(benchmark::State& state, const char* label) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto m = static_cast<std::size_t>(state.range(1));
   std::vector<double> mu(n);
@@ -168,15 +172,16 @@ void reconstruct_bench(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(Reconstruct(mu, t, opts));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(m * n));
+  state.SetLabel(label);
 }
 
 void BM_ReconstructDirect(benchmark::State& state) {
-  reconstruct_bench<kpm::core::reconstruct_dos>(state);
+  reconstruct_bench<kpm::core::reconstruct_dos>(state, kpm::avx2_packs() ? "avx2" : "sse2");
 }
 BENCHMARK(BM_ReconstructDirect)->ArgNames({"N", "M"})->ArgsProduct({{128, 256}, {1024, 4096}});
 
 void BM_ReconstructFft(benchmark::State& state) {
-  reconstruct_bench<kpm::core::reconstruct_dos_fft>(state);
+  reconstruct_bench<kpm::core::reconstruct_dos_fft>(state, "fft");
 }
 BENCHMARK(BM_ReconstructFft)->ArgNames({"N", "M"})->ArgsProduct({{128, 256}, {1024, 4096}});
 

@@ -18,9 +18,14 @@ const char* to_string(GpuMapping m) noexcept {
 
 namespace detail {
 
-void instance_recursion(const DeviceMatrixRef& h, std::span<const double> r0, std::span<double> a,
-                        std::span<double> b, std::span<double> mu_tilde,
-                        std::size_t num_moments) {
+// Pinned to a 64-byte line (with linalg::dot, which it calls per moment):
+// the simulated engines run every instance through this loop, and without
+// the pin its offset moves whenever code linked before it changes size
+// (docs/performance.md, "Hot-loop placement").
+[[gnu::aligned(64)]] void instance_recursion(const DeviceMatrixRef& h,
+                                             std::span<const double> r0, std::span<double> a,
+                                             std::span<double> b, std::span<double> mu_tilde,
+                                             std::size_t num_moments) {
   const std::size_t d = h.dim;
   // Functional-work counters (instances, SpMVs, dots) match the serial CPU
   // reference exactly; modeled GPU flop/byte totals stay in the gpu_*

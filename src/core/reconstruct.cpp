@@ -6,9 +6,9 @@
 #include <complex>
 #include <numbers>
 
-#include "common/double2.hpp"
 #include "common/error.hpp"
 #include "common/fft.hpp"
+#include "common/packs.hpp"
 #include "core/chebyshev.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -31,39 +31,81 @@ std::vector<double> damp_moments(std::span<const double> mu, const ReconstructOp
   return damped;
 }
 
-// gamma(x) at kDosGammaBatch points by Clenshaw on the coefficients
+// gamma(x) at kGammaPacks packs of points by Clenshaw on the coefficients
 // a_0 = g0 mu0, a_n = 2 g_n mu_n: b_k = 2 d_k + 2x b_{k+1} - b_{k+2}, then
 // gamma = d_0 + x b_1 - b_2.  Grid points are independent recurrences, but
 // each one is a serial mul -> add -> sub chain per term, so one point at a
-// time runs at the chain's latency.  This runs the points side by side in
-// P packs of two per Double2, with b1 and b2 of every pack held in
-// registers.  At P = 5 the ten b1/b2 packs and the broadcast coefficient
-// stay in registers and GCC reads four of the five loop-invariant 2x packs
-// from the stack, off the dependency chain; P = 6 spills the recurrence
-// itself and measured slower.  Each lane evaluates the scalar expressions
-// in their scalar order, (2 d_k + (2x) b1) - b2 and (d_0 + x b1) - b2, so
-// every point's gamma is bitwise the one-point recurrence's.
+// time runs at the chain's latency.  This runs the points side by side,
+// one per lane of kGammaPacks packs, with b1 and b2 of every pack held in
+// registers.  At five packs, of either width, the ten b1/b2 packs and the
+// broadcast coefficient stay in registers and GCC reads four of the five
+// loop-invariant 2x packs from the stack, off the dependency chain; six
+// Double2 packs spill the recurrence itself and measured slower, and five
+// Double4 packs (20 points) beat three or four.  Each lane evaluates the
+// scalar expressions in their scalar order, (2 d_k + (2x) b1) - b2 and
+// (d_0 + x b1) - b2, so every point's gamma is bitwise the one-point
+// recurrence's.
+constexpr std::size_t kGammaPacks = 5;
+
+template <typename Pack>
 void series_gamma_packs(std::span<const double> damped, const double* x, double* gamma) {
-  static_assert(kDosGammaBatch % 2 == 0, "points pack two per Double2");
-  constexpr std::size_t P = kDosGammaBatch / 2;
-  Double2 two_x[P], b1[P], b2[P];
-  for_each_index<P>([&](std::size_t j) {
-    two_x[j] = 2.0 * load_pack<Double2>(x + 2 * j);
-    b1[j] = Double2{};
-    b2[j] = Double2{};
+  constexpr std::size_t L = sizeof(Pack) / sizeof(double);
+  Pack two_x[kGammaPacks], b1[kGammaPacks], b2[kGammaPacks];
+  for_each_index<kGammaPacks>([&](std::size_t j) {
+    load_pack(two_x[j], x + L * j);
+    two_x[j] = 2.0 * two_x[j];
+    b1[j] = Pack{};
+    b2[j] = Pack{};
   });
   for (std::size_t k = damped.size(); k-- > 1;) {
     const double two_d = 2.0 * damped[k];
-    for_each_index<P>([&](std::size_t j) {
-      const Double2 b0 = two_d + two_x[j] * b1[j] - b2[j];
+    for_each_index<kGammaPacks>([&](std::size_t j) {
+      const Pack b0 = two_d + two_x[j] * b1[j] - b2[j];
       b2[j] = b1[j];
       b1[j] = b0;
     });
   }
-  for_each_index<P>([&](std::size_t j) {
-    const Double2 xj = load_pack<Double2>(x + 2 * j);
-    store_pack(gamma + 2 * j, damped[0] + xj * b1[j] - b2[j]);
+  for_each_index<kGammaPacks>([&](std::size_t j) {
+    Pack xj{};
+    load_pack(xj, x + L * j);
+    store_pack(gamma + L * j, damped[0] + xj * b1[j] - b2[j]);
   });
+}
+
+// One kDosGammaBatch-point batch in Double2 packs: two runs of five.
+void series_gamma_sse2(std::span<const double> damped, const double* x, double* gamma) {
+  static_assert(kDosGammaBatch == 2 * kGammaPacks * 2, "a batch is two runs of Double2 packs");
+  series_gamma_packs<Double2>(damped, x, gamma);
+  series_gamma_packs<Double2>(damped, x + 2 * kGammaPacks, gamma + 2 * kGammaPacks);
+}
+
+#if KPM_AVX2_PACKS
+// One batch in five Double4 packs, compiled for AVX2: flatten inlines the
+// recurrence here, so its Double4 operations are compiled under this
+// function's target alone.  "avx2" without "fma": a contracted
+// two_x * b1 + ... would round once instead of twice.
+[[gnu::target("avx2"), gnu::flatten]] void series_gamma_avx2(std::span<const double> damped,
+                                                              const double* x, double* gamma) {
+  static_assert(kDosGammaBatch == 4 * kGammaPacks, "a batch is one run of Double4 packs");
+  series_gamma_packs<Double4>(damped, x, gamma);
+}
+#endif
+
+// gamma at every point of x, kDosGammaBatch points per call of `batch`.
+// The last partial batch runs on a zero-padded copy; lanes are
+// independent, so the padding changes no valid point and is dropped.
+void evaluate_batches(void (*batch)(std::span<const double>, const double*, double*),
+                      std::span<const double> damped, std::span<const double> x,
+                      std::span<double> gamma) {
+  std::size_t j = 0;
+  for (; j + kDosGammaBatch <= x.size(); j += kDosGammaBatch)
+    batch(damped, x.data() + j, gamma.data() + j);
+  if (j == x.size()) return;
+  const std::size_t tail = x.size() - j;
+  std::array<double, kDosGammaBatch> x_tail{}, gamma_tail{};
+  std::copy_n(x.data() + j, tail, x_tail.data());
+  batch(damped, x_tail.data(), gamma_tail.data());
+  std::copy_n(gamma_tail.data(), tail, gamma.data() + j);
 }
 
 // rho(x) = gamma(x) / (pi sqrt(1 - x^2)) on the Chebyshev interval.
@@ -77,17 +119,10 @@ void evaluate_dos_gamma(std::span<const double> damped, std::span<const double> 
                         std::span<double> gamma) {
   KPM_REQUIRE(!damped.empty(), "evaluate_dos_gamma: no moments");
   KPM_REQUIRE(gamma.size() == x.size(), "evaluate_dos_gamma: x/gamma size mismatch");
-  std::size_t j = 0;
-  for (; j + kDosGammaBatch <= x.size(); j += kDosGammaBatch)
-    series_gamma_packs(damped, x.data() + j, gamma.data() + j);
-  if (j == x.size()) return;
-  // The last partial batch runs on a zero-padded copy; lanes are
-  // independent, so the padding changes no valid point and is dropped.
-  const std::size_t tail = x.size() - j;
-  std::array<double, kDosGammaBatch> x_tail{}, gamma_tail{};
-  std::copy_n(x.data() + j, tail, x_tail.data());
-  series_gamma_packs(damped, x_tail.data(), gamma_tail.data());
-  std::copy_n(gamma_tail.data(), tail, gamma.data() + j);
+#if KPM_AVX2_PACKS
+  if (avx2_packs()) return evaluate_batches(series_gamma_avx2, damped, x, gamma);
+#endif
+  evaluate_batches(series_gamma_sse2, damped, x, gamma);
 }
 
 double evaluate_dos_series(std::span<const double> damped, double x) {

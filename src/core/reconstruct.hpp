@@ -32,10 +32,11 @@ struct ReconstructOptions {
 /// `damped` are the products g_n mu_n.
 [[nodiscard]] double evaluate_dos_series(std::span<const double> damped, double x);
 
-/// Points evaluate_dos_gamma runs through the recurrence together.  A
-/// partial last batch runs zero-padded, so a span whose size is a multiple
-/// of it wastes no lanes.
-inline constexpr std::size_t kDosGammaBatch = 10;
+/// Points evaluate_dos_gamma runs through the recurrence together (five
+/// four-point packs on AVX2 hosts, two runs of five two-point packs
+/// elsewhere).  A partial last batch runs zero-padded, so a span whose size
+/// is a multiple of it wastes no lanes.
+inline constexpr std::size_t kDosGammaBatch = 20;
 
 /// gamma(x_j) = g_0 mu_0 + 2 sum_{n>=1} g_n mu_n T_n(x_j) at every x_j:
 /// the bracket of Eq. 6, without the 1 / (pi sqrt(1 - x^2)) weight.

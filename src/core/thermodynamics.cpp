@@ -41,7 +41,7 @@ double spectral_average(std::span<const double> mu, const linalg::SpectralTransf
   // where rho(x) = gamma(x) / (pi sqrt(1-x^2)); the weight cancels exactly.
   // gamma is evaluated a slice of the grid at a time into a stack buffer.
   const auto grid = chebyshev_gauss_grid(options.points);
-  std::array<double, 24 * kDosGammaBatch> gamma{};
+  std::array<double, 12 * kDosGammaBatch> gamma{};
   double acc = 0.0;
   for (std::size_t j0 = 0; j0 < grid.size(); j0 += gamma.size()) {
     const auto x = std::span(grid).subspan(j0, std::min(gamma.size(), grid.size() - j0));

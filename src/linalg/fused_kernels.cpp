@@ -4,8 +4,8 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/double2.hpp"
 #include "common/error.hpp"
+#include "common/packs.hpp"
 #include "linalg/row_access.hpp"
 #include "linalg/spmmv_unmetered.hpp"
 #include "obs/counters.hpp"
@@ -87,26 +87,28 @@ void require_spmmv_preconditions(std::size_t rows, std::size_t cols, std::size_t
 // every stored entry reloads and re-stores all B of them, and the step is
 // bound by that store->load chain instead of by memory bandwidth.  The
 // table widths below fix the member count AND the block stride at compile
-// time: the accumulators are a local array of two-member packs, the member
-// loops expand at compile time, and the accumulators stay in SSE2 registers
-// across a row's entries (B/2 packed multiply-adds per entry).  Every
-// other width runs the same bodies with one double per pack, accumulating
-// straight into the output row.  Packed arithmetic is lane-wise IEEE, so
-// each member still runs exactly the operations of one unfused vector
-// recursion in the same order: entry order, 2*acc - prev2, and dot lane
-// r & 3 folded as (l0 + l1) + (l2 + l3).
+// time: the accumulators are a local array of member packs, the member
+// loops expand at compile time, and the accumulators stay in registers
+// across a row's entries (B/4 or B/2 packed multiply-adds per entry).
+// Every other width runs the same bodies with one double per pack,
+// accumulating straight into the output row.  Packed arithmetic is
+// lane-wise IEEE, so each member still runs exactly the operations of one
+// unfused vector recursion in the same order: entry order, 2*acc - prev2,
+// and dot lane r & 3 folded as (l0 + l1) + (l2 + l3).
 
-// Members pack two per Double2 (common/double2.hpp).  The kernel bodies
-// below are [[gnu::flatten]]: their accumulators can only stay in
-// registers if every helper and lambda is inlined into them, which the
-// inliner's size heuristics do not otherwise guarantee.
+// Members pack four per Double4 on AVX2 hosts (widths 4 to 32) and two per
+// Double2 otherwise (common/packs.hpp).  The kernel bodies below are
+// [[gnu::flatten]]: their accumulators can only stay in registers if every
+// helper and lambda is inlined into them, which the inliner's size
+// heuristics do not otherwise guarantee.
 
-/// A table width: B members at block stride B, all compile-time.  Even
-/// widths pack two members per Double2.
-template <std::size_t B>
+/// A table width: B members at block stride B, all compile-time, in packs
+/// of P: Double4 in the AVX2 bodies, else Double2 for even B and one
+/// double for odd B.
+template <std::size_t B, typename P = std::conditional_t<B % 2 == 0, Double2, double>>
 struct FixedWidth {
   static constexpr bool kCompileTime = true;
-  using Pack = std::conditional_t<B % 2 == 0, Double2, double>;
+  using Pack = P;
   static constexpr std::size_t kPack = sizeof(Pack) / sizeof(double);
   static constexpr std::size_t kPacks = B / kPack;  ///< local array extent
   [[nodiscard]] static constexpr std::size_t members() noexcept { return B; }
@@ -126,17 +128,50 @@ struct RuntimeWidth {
   [[nodiscard]] std::size_t packs() const noexcept { return block; }
 };
 
+/// body(w) for one table width, as a function of its own pinned to a
+/// 64-byte line.  flatten inlines the whole row body here, so each width's
+/// loops sit in one function and their offsets within their lines depend
+/// only on that body's code: not on the dispatcher around it, nor on the
+/// size of code linked before this file (docs/performance.md, "Hot-loop
+/// placement").
+template <typename Body, typename Width>
+[[gnu::noinline, gnu::flatten, gnu::aligned(64)]] void run_width(Body& body, const Width& w) {
+  body(w);
+}
+
+#if KPM_AVX2_PACKS
+/// run_width compiled for AVX2: every Double4 operation of the inlined
+/// body is compiled under this function's target, and no AVX instruction
+/// lands in any other function.  The target is "avx2" alone: with "fma"
+/// GCC would contract acc + v * x into one rounding.
+template <typename Body, typename Width>
+[[gnu::target("avx2"), gnu::noinline, gnu::flatten, gnu::aligned(64)]] void run_width_avx2(
+    Body& body, const Width& w) {
+  body(w);
+}
+#endif
+
+/// Runs body with table width B in Double4 packs when avx2_packs(), else
+/// in Double2 packs.
+template <std::size_t B, typename Body>
+void run_widest_packs(Body& body) {
+#if KPM_AVX2_PACKS
+  if (avx2_packs()) return run_width_avx2(body, FixedWidth<B, Double4>{});
+#endif
+  run_width(body, FixedWidth<B>{});
+}
+
 /// Runs body(width) with the table width for `block` if there is one,
 /// else with RuntimeWidth.
 template <typename Body>
 void for_member_width(std::size_t block, Body&& body) {
   switch (block) {
-    case 1: return body(FixedWidth<1>{});
-    case 2: return body(FixedWidth<2>{});
-    case 4: return body(FixedWidth<4>{});
-    case 8: return body(FixedWidth<8>{});
-    case 16: return body(FixedWidth<16>{});
-    case 32: return body(FixedWidth<32>{});
+    case 1: return run_width(body, FixedWidth<1>{});
+    case 2: return run_width(body, FixedWidth<2>{});
+    case 4: return run_widest_packs<4>(body);
+    case 8: return run_widest_packs<8>(body);
+    case 16: return run_widest_packs<16>(body);
+    case 32: return run_widest_packs<32>(body);
     default: return body(RuntimeWidth{block});
   }
 }
@@ -222,7 +257,10 @@ template <typename Width>
     Pack* lane = lanes.row(i & 3);
     for_each_pack(w, [&](std::size_t j) {
       const std::size_t k = at + j * Width::kPack;
-      lane[j] += load_pack<Pack>(x + k) * load_pack<Pack>(y + k);
+      Pack xk{}, yk{};
+      load_pack(xk, x + k);
+      load_pack(yk, y + k);
+      lane[j] += xk * yk;
     });
   }
   for_each_lane_sum(w, lanes, 0, [&](std::size_t m, double v) { dots[m] = v; });
@@ -237,14 +275,21 @@ void accumulate_row(const Width& w, const Access& rows_of, std::size_t r, const 
   for_each_pack(w, [&](std::size_t j) { acc[j] = Pack{}; });
   rows_of.row_entries(r, [&](double v, std::size_t c) {
     const double* xc = x + c * w.members();
-    for_each_pack(w,
-                  [&](std::size_t j) { acc[j] += v * load_pack<Pack>(xc + j * Width::kPack); });
+    for_each_pack(w, [&](std::size_t j) {
+      Pack xj{};
+      load_pack(xj, xc + j * Width::kPack);
+      acc[j] += v * xj;
+    });
   });
 }
 
+// The row bodies take the row-access policy by value.  Reached through a
+// reference from a width's out-of-line run_width function, its array
+// pointers were reloaded on every row; a local copy stays in registers.
+
 template <typename Width, typename Access>
-[[gnu::flatten]] void spmmv_multiply_rows(const Width& w, const Access& rows_of,
-                                          std::size_t rows, const double* x, double* y) {
+[[gnu::flatten]] void spmmv_multiply_rows(const Width& w, Access rows_of, std::size_t rows,
+                                          const double* x, double* y) {
   using Pack = typename Width::Pack;
   Pack local[Width::kPacks]{};
   for (std::size_t r = 0; r < rows; ++r) {
@@ -257,7 +302,7 @@ template <typename Width, typename Access>
 }
 
 template <typename Width, typename Access>
-[[gnu::flatten]] void spmmv_dot_rows(const Width& w, const Access& rows_of, std::size_t rows,
+[[gnu::flatten]] void spmmv_dot_rows(const Width& w, Access rows_of, std::size_t rows,
                                      const double* r_prev, const double* r_prev2,
                                      const double* r0, double* r_next, double* dots) {
   using Pack = typename Width::Pack;
@@ -270,16 +315,20 @@ template <typename Width, typename Access>
     Pack* lane = lanes.row(r & 3);
     for_each_pack(w, [&](std::size_t j) {
       const std::size_t k = at + j * Width::kPack;
-      const Pack next = 2.0 * acc[j] - load_pack<Pack>(r_prev2 + k);
+      Pack prev2{};
+      load_pack(prev2, r_prev2 + k);
+      const Pack next = 2.0 * acc[j] - prev2;
       store_pack(r_next + k, next);
-      lane[j] += load_pack<Pack>(r0 + k) * next;
+      Pack z{};
+      load_pack(z, r0 + k);
+      lane[j] += z * next;
     });
   }
   for_each_lane_sum(w, lanes, 0, [&](std::size_t m, double v) { dots[m] = v; });
 }
 
 template <typename Width, typename Access>
-[[gnu::flatten]] void spmmv_dot2_rows(const Width& w, const Access& rows_of, std::size_t rows,
+[[gnu::flatten]] void spmmv_dot2_rows(const Width& w, Access rows_of, std::size_t rows,
                                       const double* r_prev, const double* r_prev2,
                                       double* r_next, PairedDots* dots) {
   using Pack = typename Width::Pack;
@@ -293,8 +342,10 @@ template <typename Width, typename Access>
     Pack* pp = lanes.row(4 + (r & 3));
     for_each_pack(w, [&](std::size_t j) {
       const std::size_t k = at + j * Width::kPack;
-      const Pack next = 2.0 * acc[j] - load_pack<Pack>(r_prev2 + k);
-      const Pack prev = load_pack<Pack>(r_prev + k);
+      Pack prev2{}, prev{};
+      load_pack(prev2, r_prev2 + k);
+      load_pack(prev, r_prev + k);
+      const Pack next = 2.0 * acc[j] - prev2;
       store_pack(r_next + k, next);
       np[j] += next * prev;
       pp[j] += prev * prev;
@@ -336,16 +387,19 @@ void dot2_block(const Access& rows_of, std::size_t rows, std::size_t block,
 
 }  // namespace
 
-// The CRS entry points that hold the recursion's hot loops
-// (spmmv_combine_dot, at every B including 1, and the blocked multiply's
-// unmetered body) are pinned to the start of a 64-byte line.  GCC aligns
-// functions to 16 bytes, so without the pin an inner loop's offset within
-// its line moves whenever code linked before this file changes size, and a
-// loop that straddles a line boundary measurably slows the recursion
-// (docs/performance.md, "Hot-loop placement").
-
 // ---------------------------------------------------------------------------
 // Vector-block (SpMMV) kernels.
+
+const char* member_pack_body(std::size_t block) noexcept {
+  switch (block) {  // the table of for_member_width
+    case 2: return "sse2";
+    case 4:
+    case 8:
+    case 16:
+    case 32: return avx2_packs() ? "avx2" : "sse2";
+    default: return "scalar";
+  }
+}
 
 void block_dot(std::span<const double> x, std::span<const double> y, std::size_t block,
                std::span<double> dots) {
@@ -361,9 +415,8 @@ void block_dot(std::span<const double> x, std::span<const double> y, std::size_t
 
 namespace detail {
 
-[[gnu::aligned(64)]] void spmmv_multiply_unmetered(const CrsMatrix& a, std::size_t block,
-                                                   std::span<const double> x,
-                                                   std::span<double> y) {
+void spmmv_multiply_unmetered(const CrsMatrix& a, std::size_t block, std::span<const double> x,
+                              std::span<double> y) {
   require_multiply_preconditions(a.rows(), a.cols(), block, x, y);
   multiply_block(CrsAccess(a), a.rows(), block, x, y);
 }
@@ -402,11 +455,9 @@ void spmmv_multiply(const MatrixOperator& op, std::size_t block, std::span<const
   return spmmv_multiply(*op.sell(), block, x, y);
 }
 
-[[gnu::aligned(64)]] void spmmv_combine_dot(const CrsMatrix& a, std::size_t block,
-                                            std::span<const double> r_prev,
-                                            std::span<const double> r_prev2,
-                                            std::span<const double> r0,
-                                            std::span<double> r_next, std::span<double> dots) {
+void spmmv_combine_dot(const CrsMatrix& a, std::size_t block, std::span<const double> r_prev,
+                       std::span<const double> r_prev2, std::span<const double> r0,
+                       std::span<double> r_next, std::span<double> dots) {
   require_spmmv_preconditions(a.rows(), a.cols(), block, r_prev, r_prev2, r_next);
   KPM_REQUIRE(r0.size() == a.rows() * block && dots.size() == block,
               "spmmv_combine_dot: r0/dots size mismatch");

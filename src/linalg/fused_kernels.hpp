@@ -53,7 +53,13 @@ struct PairedDots {
 // outputs hold one value per member.  Every kernel streams the matrix ONCE
 // for all B members.  The real kernels run B in {1, 2, 4, 8, 16, 32} with a
 // compile-time member count and stride, which keeps the member accumulators
-// in registers; see docs/performance.md, "Member-width dispatch".
+// in registers, four members per AVX2 pack for B in {4, 8, 16, 32} on hosts
+// with AVX2; see docs/performance.md, "Member-width dispatch".
+
+/// The pack body the real blocked kernels run for `block` members: "avx2"
+/// (four members per 256-bit pack), "sse2" (two per 128-bit pack) or
+/// "scalar" (one double per pack: B = 1 and the widths outside the table).
+[[nodiscard]] const char* member_pack_body(std::size_t block) noexcept;
 
 /// Per-member dot products <x_j | y_j> of two interleaved blocks, each in
 /// linalg::dot's canonical 4-lane order (element i feeds lane i mod 4).

@@ -28,7 +28,10 @@ void copy(std::span<const double> x, std::span<double> out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = x[i];
 }
 
-double dot(std::span<const double> x, std::span<const double> y) {
+// Pinned to a 64-byte line: the simulated engines' recursion
+// (core::detail::instance_recursion) runs it once per moment, so its loop's
+// offset should not move with the size of code linked before it.
+[[gnu::aligned(64)]] double dot(std::span<const double> x, std::span<const double> y) {
   KPM_REQUIRE(x.size() == y.size(), "dot: size mismatch");
   KPM_REQUIRE(!x.empty(), "dot: empty span");
   // Canonical 4-lane order (see header): element i feeds lane i mod 4.  Four

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/packs.hpp"
 #include "core/chebyshev.hpp"
 #include "core/reconstruct.hpp"
 #include "diag/spectrum_utils.hpp"
@@ -132,7 +133,7 @@ constexpr std::size_t kMomentCounts[] = {1, 2, 3, 64, 129, 256};
 /// serve-sized grids.
 std::vector<std::size_t> point_counts() {
   std::vector<std::size_t> m;
-  for (std::size_t k = 1; k <= 2 * kDosGammaBatch + 1; ++k) m.push_back(k);
+  for (std::size_t k = 1; k <= 3 * kDosGammaBatch; ++k) m.push_back(k);
   m.insert(m.end(), {1024, 4097});
   return m;
 }
@@ -183,33 +184,39 @@ std::vector<double> interior_energies(const SpectralTransform& t, std::size_t m)
 TEST(Reconstruct, BatchedCurvesMatchScalarClenshawBitwise) {
   const SpectralTransform t({-2.5, 3.5}, 0.01);
   const double jac = t.density_jacobian();
-  for (const DampingKernel kernel : kAllKernels) {
-    for (const std::size_t n : kMomentCounts) {
-      const auto mu = mixed_moments(n);
-      const auto damped = damped_moments(mu, kernel);
-      for (const std::size_t m : point_counts()) {
-        SCOPED_TRACE(std::string(to_string(kernel)) + " N=" + std::to_string(n) +
-                     " M=" + std::to_string(m));
-        const ReconstructOptions options{.kernel = kernel, .points = m};
+  // The Double2 body, then the host's choice (Double4 on an AVX2 host).
+  for (const bool avx2 : {false, true}) {
+    const kpm::detail::ScopedAvx2Packs packs(avx2);
+    SCOPED_TRACE(kpm::avx2_packs() ? "avx2 body" : "sse2 body");
+    for (const DampingKernel kernel : kAllKernels) {
+      for (const std::size_t n : kMomentCounts) {
+        const auto mu = mixed_moments(n);
+        const auto damped = damped_moments(mu, kernel);
+        for (const std::size_t m : point_counts()) {
+          SCOPED_TRACE(std::string(to_string(kernel)) + " N=" + std::to_string(n) +
+                       " M=" + std::to_string(m));
+          const ReconstructOptions options{.kernel = kernel, .points = m};
 
-        const auto grid = chebyshev_gauss_grid(m);
-        const auto curve = reconstruct_dos(mu, t, options);
-        ASSERT_EQ(curve.density.size(), m);
-        std::size_t grid_mismatches = 0;
-        for (std::size_t j = 0; j < m; ++j)
-          grid_mismatches += bits(curve.energy[j]) != bits(t.to_physical(grid[j])) ||
-                             bits(curve.density[j]) != bits(scalar_density(damped, grid[j], jac));
-        EXPECT_EQ(grid_mismatches, 0u);
+          const auto grid = chebyshev_gauss_grid(m);
+          const auto curve = reconstruct_dos(mu, t, options);
+          ASSERT_EQ(curve.density.size(), m);
+          std::size_t grid_mismatches = 0;
+          for (std::size_t j = 0; j < m; ++j)
+            grid_mismatches +=
+                bits(curve.energy[j]) != bits(t.to_physical(grid[j])) ||
+                bits(curve.density[j]) != bits(scalar_density(damped, grid[j], jac));
+          EXPECT_EQ(grid_mismatches, 0u);
 
-        const auto energies = interior_energies(t, m);
-        const auto at = reconstruct_dos_at(mu, t, energies, options);
-        ASSERT_EQ(at.density.size(), m);
-        std::size_t at_mismatches = 0;
-        for (std::size_t j = 0; j < m; ++j)
-          at_mismatches +=
-              bits(at.energy[j]) != bits(energies[j]) ||
-              bits(at.density[j]) != bits(scalar_density(damped, t.to_unit(energies[j]), jac));
-        EXPECT_EQ(at_mismatches, 0u);
+          const auto energies = interior_energies(t, m);
+          const auto at = reconstruct_dos_at(mu, t, energies, options);
+          ASSERT_EQ(at.density.size(), m);
+          std::size_t at_mismatches = 0;
+          for (std::size_t j = 0; j < m; ++j)
+            at_mismatches +=
+                bits(at.energy[j]) != bits(energies[j]) ||
+                bits(at.density[j]) != bits(scalar_density(damped, t.to_unit(energies[j]), jac));
+          EXPECT_EQ(at_mismatches, 0u);
+        }
       }
     }
   }

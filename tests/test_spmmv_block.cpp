@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/packs.hpp"
 #include "core/conductivity.hpp"
 #include "core/estimator_stats.hpp"
 #include "core/ldos.hpp"
@@ -78,6 +79,27 @@ std::vector<double> interleave(const std::vector<std::vector<double>>& members) 
 /// 33 (a 32-member tile plus a 1-member rest) and 64 (two 32-member tiles).
 constexpr std::size_t kWidths[] = {1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64};
 
+/// Every width of kWidths under each pack body of the real kernels: the
+/// Double2 body (avx2 = false), then the host's choice, which is the
+/// Double4 body on an AVX2 host.
+std::vector<std::pair<bool, std::size_t>> pack_body_widths() {
+  std::vector<std::pair<bool, std::size_t>> cases;
+  for (const bool avx2 : {false, true})
+    for (const std::size_t b : kWidths) cases.emplace_back(avx2, b);
+  return cases;
+}
+
+/// Names the pack body a ScopedAvx2Packs(avx2) guard selected, after
+/// checking that it is the one the guard and the CPU call for.
+std::string pack_body(bool avx2) {
+#if KPM_AVX2_PACKS
+  EXPECT_EQ(kpm::avx2_packs(), avx2 && __builtin_cpu_supports("avx2"));
+#else
+  EXPECT_FALSE(kpm::avx2_packs());
+#endif
+  return kpm::avx2_packs() ? "avx2 body" : "sse2 body";
+}
+
 MomentParams small_params(std::size_t n, std::size_t r, std::size_t s) {
   MomentParams p;
   p.num_moments = n;
@@ -91,7 +113,9 @@ MomentParams small_params(std::size_t n, std::size_t r, std::size_t s) {
 
 TEST(SpmmvKernels, BlockDotMatchesPerMemberDot) {
   const std::size_t d = 29;
-  for (const std::size_t b : kWidths) {
+  for (const auto& [avx2, b] : pack_body_widths()) {
+    const kpm::detail::ScopedAvx2Packs packs(avx2);
+    SCOPED_TRACE(pack_body(avx2));
     std::vector<std::vector<double>> xs(b, std::vector<double>(d)), ys = xs;
     for (std::size_t j = 0; j < b; ++j)
       for (std::size_t i = 0; i < d; ++i) {
@@ -111,7 +135,9 @@ TEST(SpmmvKernels, MultiplyMatchesPerVectorBitwise) {
   const auto sell = SellMatrix::from_crs(crs, 4, 8);
   const auto dense = crs.to_dense();
   const std::size_t d = crs.rows();
-  for (const std::size_t b : kWidths) {
+  for (const auto& [avx2, b] : pack_body_widths()) {
+    const kpm::detail::ScopedAvx2Packs packs(avx2);
+    SCOPED_TRACE(pack_body(avx2));
     std::vector<std::vector<double>> xs(b, std::vector<double>(d));
     for (std::size_t j = 0; j < b; ++j)
       for (std::size_t i = 0; i < d; ++i) xs[j][i] = wiggle(i * b + 7 * j + 2);
@@ -136,7 +162,9 @@ TEST(SpmmvKernels, CombineDotMatchesPerVectorBitwise) {
   const auto sell = SellMatrix::from_crs(crs, 4, 8);
   const auto dense = crs.to_dense();
   const std::size_t d = crs.rows();
-  for (const std::size_t b : kWidths) {
+  for (const auto& [avx2, b] : pack_body_widths()) {
+    const kpm::detail::ScopedAvx2Packs packs(avx2);
+    SCOPED_TRACE(pack_body(avx2));
     std::vector<std::vector<double>> prevs(b, std::vector<double>(d)), prev2s = prevs,
                                      r0s = prevs;
     for (std::size_t j = 0; j < b; ++j)
@@ -173,7 +201,9 @@ TEST(SpmmvKernels, CombineDot2MatchesPerVectorBitwise) {
   const auto sell = SellMatrix::from_crs(crs, 4, 8);
   const auto dense = crs.to_dense();
   const std::size_t d = crs.rows();
-  for (const std::size_t b : kWidths) {
+  for (const auto& [avx2, b] : pack_body_widths()) {
+    const kpm::detail::ScopedAvx2Packs packs(avx2);
+    SCOPED_TRACE(pack_body(avx2));
     std::vector<std::vector<double>> prevs(b, std::vector<double>(d)), prev2s = prevs;
     for (std::size_t j = 0; j < b; ++j)
       for (std::size_t i = 0; i < d; ++i) {

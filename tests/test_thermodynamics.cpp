@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/packs.hpp"
 #include "core/chebyshev.hpp"
 #include "core/ldos.hpp"
 #include "core/reconstruct.hpp"
@@ -174,20 +175,26 @@ TEST(Thermo, SpectralAverageMatchesScalarClenshawBitwise) {
   const Fixture f(4, 256);
   const auto energy_weight = [](double e) { return e * fermi_dirac(e, 0.3, 0.2); };
   std::vector<std::size_t> point_counts;
-  for (std::size_t k = 1; k <= 2 * kDosGammaBatch + 1; ++k) point_counts.push_back(k);
+  for (std::size_t k = 1; k <= 3 * kDosGammaBatch; ++k) point_counts.push_back(k);
   point_counts.insert(point_counts.end(), {1024, 4097});
-  for (const DampingKernel kernel : {DampingKernel::Jackson, DampingKernel::Lorentz,
-                                     DampingKernel::Fejer, DampingKernel::Dirichlet}) {
-    for (const std::size_t n : {1u, 2u, 3u, 64u, 129u, 256u}) {
-      const std::vector<double> mu(f.mu.begin(), f.mu.begin() + static_cast<std::ptrdiff_t>(n));
-      for (const std::size_t m : point_counts) {
-        if (m < n) continue;
-        SCOPED_TRACE(std::string(to_string(kernel)) + " N=" + std::to_string(n) +
-                     " M=" + std::to_string(m));
-        const QuadratureOptions q{.kernel = kernel, .points = m};
-        const double batched = spectral_average(mu, f.transform, energy_weight, q);
-        const double scalar = scalar_spectral_average(mu, f.transform, energy_weight, q);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(batched), std::bit_cast<std::uint64_t>(scalar));
+  // The Double2 body, then the host's choice (Double4 on an AVX2 host).
+  for (const bool avx2 : {false, true}) {
+    const kpm::detail::ScopedAvx2Packs packs(avx2);
+    SCOPED_TRACE(kpm::avx2_packs() ? "avx2 body" : "sse2 body");
+    for (const DampingKernel kernel : {DampingKernel::Jackson, DampingKernel::Lorentz,
+                                       DampingKernel::Fejer, DampingKernel::Dirichlet}) {
+      for (const std::size_t n : {1u, 2u, 3u, 64u, 129u, 256u}) {
+        const std::vector<double> mu(f.mu.begin(),
+                                     f.mu.begin() + static_cast<std::ptrdiff_t>(n));
+        for (const std::size_t m : point_counts) {
+          if (m < n) continue;
+          SCOPED_TRACE(std::string(to_string(kernel)) + " N=" + std::to_string(n) +
+                       " M=" + std::to_string(m));
+          const QuadratureOptions q{.kernel = kernel, .points = m};
+          const double batched = spectral_average(mu, f.transform, energy_weight, q);
+          const double scalar = scalar_spectral_average(mu, f.transform, energy_weight, q);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(batched), std::bit_cast<std::uint64_t>(scalar));
+        }
       }
     }
   }
